@@ -1,16 +1,16 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
+import scala.jdk.CollectionConverters._
 
 import repro.compress.BlockCodec
-import repro.store.{BlockStore, BufferPool}
+import repro.store.{BlockStore, BufferPool, KvData, SortedBlocks}
 
 /** T_aux — the auxiliary accuracy-assurance table (paper §IV-B.1).
   *
-  * Misclassified key→value-codes pairs, sorted by key, range-partitioned,
-  * each partition compressed with the configured codec and stored on
-  * disk. Partitions are fetched through the store's [[BufferPool]] and
-  * binary-searched (Alg. 1's validation step).
+  * Misclassified key→value-codes pairs in [[SortedBlocks]]: sorted by key,
+  * range-partitioned, each partition compressed with the configured codec
+  * and stored on disk, fetched through a [[BufferPool]] and binary-searched
+  * (Alg. 1's validation step).
   *
   * Modifications (Alg. 3–5) land in an in-memory sorted overlay — the
   * "materialize the modification operations in this structure" of
@@ -18,95 +18,39 @@ import repro.store.{BlockStore, BufferPool}
   * folds the overlay back into compressed partitions (what retraining's
   * reconstruction uses). Size accounting always reflects the packed form.
   */
-final class AuxTable private (
-    codec: BlockCodec,
-    partitionBytes: Int,
-    var store: BlockStore,
-    var firstKeys: Array[Long],
-    var lastKeys: Array[Long],
-    var rowCounts: Array[Int],
-    val nCols: Int,
-    val pool: BufferPool,
-) {
+final class AuxTable private (codec: BlockCodec, partitionBytes: Int, private var base: SortedBlocks, val nCols: Int) {
 
-  /** Overlay value null = tombstone (entry removed from T_aux). */
+  /** Overlay value null = tombstone over a base entry (removed from T_aux). */
   private val overlay = new java.util.TreeMap[Long, Array[Int]]()
 
+  def store: BlockStore = base.store
+  def pool: BufferPool = base.pool
   def overlaySize: Int = overlay.size
-  def baseRows: Long = rowCounts.map(_.toLong).sum
+
+  private def overlayKeys: Array[Long] = overlay.keySet.asScala.toArray
 
   /** Logical entry count (base minus tombstones plus overlay adds). */
   def entryCount: Long = {
-    var n = baseRows
-    val it = overlay.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      val inBase = baseGet(e.getKey) != null
-      if (e.getValue == null) { if (inBase) n -= 1 }
-      else if (!inBase) n += 1
+    val inBase = base.get(overlayKeys)
+    var n = base.rows
+    var i = 0
+    overlay.values.forEach { v =>
+      if (v == null) n -= 1 else if (inBase(i) == null) n += 1
+      i += 1
     }
     n
   }
 
-  private final class Decoded(val keys: Array[Long], val cols: Array[Array[Int]])
-
-  // Lookups arrive key-sorted (Alg. 1 sorts the batch), so consecutive
-  // probes hit the same partition: keep the last decoded partition in a
-  // local slot so an over-budget partition decompresses once per run of
-  // probes, not once per key. Invalidated on repack().
-  private var lastId = -1
-  private var lastDecoded: Decoded = null
-
-  private def loadBlock(id: Int): Decoded = {
-    if (id == lastId && lastDecoded != null) return lastDecoded
-    val d = loadBlockUncached(id)
-    lastId = id
-    lastDecoded = d
-    d
+  /** Value codes of each of `keys` (null when not in T_aux); each base
+    * partition is decompressed at most once per call. */
+  def get(keys: Array[Long]): Array[Array[Int]] = {
+    val rows = base.get(keys)
+    var i = 0
+    while (i < keys.length) { rows(i) = overlay.getOrDefault(keys(i), rows(i)); i += 1 } // may be a tombstone
+    rows
   }
 
-  private def loadBlockUncached(id: Int): Decoded =
-    pool.get[Decoded]((store.path, id)) {
-      val raw = codec.decompress(store.read(id))
-      val in = new DataInputStream(new ByteArrayInputStream(raw))
-      val rows = in.readInt(); val nc = in.readInt()
-      val keys = new Array[Long](rows)
-      var i = 0
-      while (i < rows) { keys(i) = in.readLong(); i += 1 }
-      val cols = Array.fill(nc)(new Array[Int](rows))
-      var c = 0
-      while (c < nc) {
-        var j = 0
-        while (j < rows) { cols(c)(j) = in.readInt(); j += 1 }
-        c += 1
-      }
-      val d = new Decoded(keys, cols)
-      (d, rows.toLong * (8 + 4 * nc) + 64)
-    }
-
-  private def blockOf(k: Long): Int = {
-    var lo = 0; var hi = firstKeys.length - 1; var ans = -1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      if (firstKeys(mid) <= k) { ans = mid; lo = mid + 1 } else hi = mid - 1
-    }
-    if (ans >= 0 && k <= lastKeys(ans)) ans else -1
-  }
-
-  private def baseGet(k: Long): Array[Int] = {
-    val b = blockOf(k)
-    if (b < 0) null
-    else {
-      val d = loadBlock(b)
-      val pos = java.util.Arrays.binarySearch(d.keys, k)
-      if (pos >= 0) d.cols.map(_(pos)) else null
-    }
-  }
-
-  /** Value codes for `k`, or null when the key is not in T_aux. */
-  def get(k: Long): Array[Int] =
-    if (overlay.containsKey(k)) overlay.get(k) // may be tombstone -> null
-    else baseGet(k)
+  def get(k: Long): Array[Int] = get(Array(k))(0)
 
   def contains(k: Long): Boolean = get(k) != null
 
@@ -116,48 +60,31 @@ final class AuxTable private (
     overlay.put(k, codes.clone())
   }
 
-  /** Remove an entry if present (Alg. 4 / Alg. 5's first branch). */
-  def remove(k: Long): Unit = {
-    if (baseGet(k) != null) overlay.put(k, null) // tombstone over base
-    else overlay.remove(k)
+  /** Remove entries if present (Alg. 4 / Alg. 5's first branch); each
+    * base partition is decompressed at most once per call. */
+  def remove(keys: Array[Long]): Unit = {
+    val inBase = base.get(keys)
+    var i = 0
+    while (i < keys.length) {
+      if (inBase(i) != null) overlay.put(keys(i), null) else overlay.remove(keys(i))
+      i += 1
+    }
   }
+
+  def remove(k: Long): Unit = remove(Array(k))
 
   /** All live (key, codes) pairs, sorted by key. */
   def entries(): (Array[Long], Array[Array[Int]]) = {
     val keys = scala.collection.mutable.ArrayBuffer.empty[Long]
     val cols = Array.fill(nCols)(scala.collection.mutable.ArrayBuffer.empty[Int])
-    var b = 0
-    while (b < firstKeys.length) {
-      val d = loadBlock(b)
-      var i = 0
-      while (i < d.keys.length) {
-        val k = d.keys(i)
-        if (!overlay.containsKey(k)) {
-          keys += k
-          var c = 0
-          while (c < nCols) { cols(c) += d.cols(c)(i); c += 1 }
-        }
-        i += 1
-      }
-      b += 1
+    def put(k: Long, codes: Int => Int): Unit = { keys += k; cols.indices.foreach(c => cols(c) += codes(c)) }
+    (0 until base.blockCount).foreach { b =>
+      val blk = base.block(b)
+      blk.keys.indices.foreach(i => if (!overlay.containsKey(blk.keys(i))) put(blk.keys(i), blk.cols(_)(i)))
     }
-    val it = overlay.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      val v = e.getValue
-      if (v != null) {
-        keys += e.getKey
-        var c = 0
-        while (c < nCols) { cols(c) += v(c); c += 1 }
-      }
-    }
-    // Merge-sort result: base is sorted, overlay is sorted, but interleaved
-    // appends are not — sort once here.
-    val idx = Array.tabulate(keys.length)(Integer.valueOf)
-    java.util.Arrays.sort(idx, (a: Integer, bb: Integer) => java.lang.Long.compare(keys(a), keys(bb)))
-    val ks = idx.map(i => keys(i.intValue))
-    val cs = cols.map(col => idx.map(i => col(i.intValue)))
-    (ks, cs)
+    overlay.forEach((k, v) => if (v != null) put(k, v))
+    val sorted = KvData(keys.toArray, cols.map(_.toArray)).sortedByKey
+    (sorted.keys, sorted.cols)
   }
 
   /** Fold the overlay into fresh compressed partitions. */
@@ -165,12 +92,9 @@ final class AuxTable private (
     val (ks, cs) = entries()
     overlay.clear()
     pool.clear()
-    lastId = -1
-    lastDecoded = null
-    val old = store
-    val packed = AuxTable.packBlocks(ks, cs, nCols, partitionBytes, codec)
-    store = packed._1; firstKeys = packed._2; lastKeys = packed._3; rowCounts = packed._4
-    old.delete()
+    val old = base
+    base = SortedBlocks.pack("aux", KvData(ks, cs), codec, partitionBytes, bitPacked = false, old.pool)
+    old.close()
   }
 
   /** Packed on-disk footprint. The overlay is charged at its would-be
@@ -180,72 +104,21 @@ final class AuxTable private (
     val overlayBytes =
       if (overlay.isEmpty) 0L
       else {
-        val n = overlay.size
-        val keys = new Array[Long](n)
-        val cols = Array.fill(nCols)(new Array[Int](n))
-        var i = 0
-        val it = overlay.entrySet().iterator()
-        while (it.hasNext) {
-          val e = it.next()
-          keys(i) = e.getKey
-          val v = e.getValue
-          var c = 0
-          while (c < nCols) { cols(c)(i) = if (v == null) 0 else v(c); c += 1 }
-          i += 1
-        }
-        codec.compress(AuxTable.encodeBlock(keys, cols, 0, n)).length.toLong
+        val rows = overlay.values.asScala.toArray
+        val codes = Array.tabulate(nCols)(c => rows.map(v => if (v == null) 0 else v(c)))
+        codec.compress(SortedBlocks.encodeBlock(overlayKeys, codes, 0, overlay.size, bitPacked = false)).length.toLong
       }
-    store.fileBytes + firstKeys.length * 20L + overlayBytes
+    base.byteSize + overlayBytes
   }
 
-  def close(): Unit = store.delete()
+  def close(): Unit = base.close()
 }
 
 object AuxTable {
 
-  private[core] def encodeBlock(keys: Array[Long], cols: Array[Array[Int]], from: Int, until: Int): Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val out = new DataOutputStream(bos)
-    out.writeInt(until - from); out.writeInt(cols.length)
-    var i = from
-    while (i < until) { out.writeLong(keys(i)); i += 1 }
-    var c = 0
-    while (c < cols.length) {
-      var j = from
-      while (j < until) { out.writeInt(cols(c)(j)); j += 1 }
-      c += 1
-    }
-    out.close()
-    bos.toByteArray
-  }
-
-  private def packBlocks(keys: Array[Long], cols: Array[Array[Int]], nCols: Int,
-                         partitionBytes: Int, codec: BlockCodec): (BlockStore, Array[Long], Array[Long], Array[Int]) = {
-    val rowBytes = 8 + 4 * nCols
-    val rowsPerBlock = math.max(1, partitionBytes / rowBytes)
-    val blocks = scala.collection.mutable.ArrayBuffer.empty[Array[Byte]]
-    val firsts = scala.collection.mutable.ArrayBuffer.empty[Long]
-    val lasts = scala.collection.mutable.ArrayBuffer.empty[Long]
-    val counts = scala.collection.mutable.ArrayBuffer.empty[Int]
-    var from = 0
-    while (from < keys.length) {
-      val until = math.min(keys.length, from + rowsPerBlock)
-      blocks += codec.compress(encodeBlock(keys, cols, from, until))
-      firsts += keys(from); lasts += keys(until - 1); counts += (until - from)
-      from = until
-    }
-    (BlockStore.write("aux", blocks.toSeq), firsts.toArray, lasts.toArray, counts.toArray)
-  }
-
   /** Build from (already misclassification-filtered) pairs; sorts by key. */
   def build(keys: Array[Long], cols: Array[Array[Int]], codec: BlockCodec,
-            partitionBytes: Int, pool: BufferPool): AuxTable = {
-    val nCols = cols.length
-    val idx = Array.tabulate(keys.length)(Integer.valueOf)
-    java.util.Arrays.sort(idx, (a: Integer, b: Integer) => java.lang.Long.compare(keys(a), keys(b)))
-    val ks = idx.map(i => keys(i.intValue))
-    val cs = cols.map(col => idx.map(i => col(i.intValue)))
-    val (bs, firsts, lasts, counts) = packBlocks(ks, cs, nCols, partitionBytes, codec)
-    new AuxTable(codec, partitionBytes, bs, firsts, lasts, counts, nCols, pool)
-  }
+            partitionBytes: Int, pool: BufferPool): AuxTable =
+    new AuxTable(codec, partitionBytes,
+      SortedBlocks.pack("aux", KvData(keys, cols).sortedByKey, codec, partitionBytes, bitPacked = false, pool), cols.length)
 }

@@ -1,9 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 
 import repro.compress.BlockCodec
-import repro.nn.{Mat, MultiTaskNet, NetArch, TaskSpec, Trainer}
+import repro.nn.{MultiTaskNet, NetArch, TaskSpec, Trainer}
 import repro.store.{BufferPool, KeyValueStore, KvData}
 
 /** Build/runtime configuration for a DeepMapping hybrid structure. */
@@ -37,12 +37,13 @@ final case class DmStorage(modelBytes: Long, auxBytes: Long, existBytes: Long, d
   */
 final class DeepMapping(
     @volatile var model: MultiTaskNet,
-    val enc: KeyEncoder,
+    @volatile var enc: KeyEncoder,
     val dicts: ValueDicts,
     @volatile var aux: AuxTable,
     val exist: ExistenceBitmap,
     val cfg: DmConfig,
 ) extends KeyValueStore {
+  import DeepMapping.{mispredicted, requireKeys}
 
   override def name: String = s"DM-${cfg.codec.name.head.toUpper}"
   override def pool: BufferPool = aux.pool
@@ -54,76 +55,38 @@ final class DeepMapping(
 
   /** Algorithm 1 — (parallel) batch key lookup. Returns per query key the
     * value codes, or null when V_exist says the key does not exist. */
-  override def lookup(keys: Array[Long]): Array[Array[Int]] = {
-    val n = keys.length
-    // Step 3: batch inference over all query keys.
-    val preds = Trainer.predictAll(model, keys, enc.encode)
-    val out = new Array[Array[Int]](n)
-    // Sort probe order so each aux partition is decompressed once per
-    // batch (paper §IV-B.2).
-    val order = Array.tabulate(n)(Integer.valueOf)
-    java.util.Arrays.sort(order, (a: Integer, b: Integer) => java.lang.Long.compare(keys(a), keys(b)))
-    var oi = 0
-    while (oi < n) {
-      val i = order(oi).intValue
-      val k = keys(i)
-      if (exist.get(k)) { // existence check kills hallucinated results
-        val corrected = aux.get(k) // validation against T_aux
-        out(i) = if (corrected != null) corrected else Array.tabulate(preds.length)(t => preds(t)(i))
-      } // else: NULL (non-existing key)
-      oi += 1
-    }
-    out
-  }
+  override def lookup(keys: Array[Long]): Array[Array[Int]] =
+    DeepMapping.lookup(model, enc, exist, keys, aux.get)
 
   /** Lookup with f_decode applied — original value strings. */
   def lookupValues(keys: Array[Long]): Array[Array[String]] =
-    lookup(keys).map { codes =>
-      if (codes == null) null
-      else Array.tabulate(codes.length)(c => dicts.cols(c).decode(codes(c)))
-    }
+    lookup(keys).map(codes => if (codes == null) null else dicts.decode(codes))
 
   /** Algorithm 3 — insert. The model is evaluated on the new tuples; only
     * pairs it cannot generalise to are materialised in T_aux. */
   def insert(data: KvData): Unit = {
     require(data.nCols == dicts.nCols)
-    val preds = Trainer.predictAll(model, data.keys, enc.encode)
-    var i = 0
-    while (i < data.rows) {
-      val k = data.keys(i)
-      exist.set(k)
-      var ok = true
-      var c = 0
-      while (c < data.nCols && ok) { ok = preds(c)(i) == data.cols(c)(i); c += 1 }
-      if (!ok) aux.add(k, Array.tabulate(data.nCols)(c => data.cols(c)(i)))
-      i += 1
-    }
+    requireKeys(data.keys)
+    data.keys.foreach(exist.set)
+    mispredicted(model, enc, data).foreach(i => aux.add(data.keys(i), data.row(i)))
   }
 
-  /** Algorithm 4 — delete: clear the existence bit, drop any aux entry. */
+  /** Algorithm 4 — delete: clear the existence bits, drop any aux entries. */
   def delete(keys: Array[Long]): Unit = {
-    var i = 0
-    while (i < keys.length) {
-      exist.clear(keys(i))
-      aux.remove(keys(i))
-      i += 1
-    }
+    keys.foreach(exist.clear)
+    aux.remove(keys)
   }
 
   /** Algorithm 5 — update (substitution) of existing keys. */
   def update(data: KvData): Unit = {
     require(data.nCols == dicts.nCols)
-    val preds = Trainer.predictAll(model, data.keys, enc.encode)
-    var i = 0
-    while (i < data.rows) {
-      val k = data.keys(i)
-      require(exist.get(k), s"update of non-existing key $k")
-      var ok = true
-      var c = 0
-      while (c < data.nCols && ok) { ok = preds(c)(i) == data.cols(c)(i); c += 1 }
-      if (ok) aux.remove(k) // model now agrees: stale aux entry goes away
-      else aux.add(k, Array.tabulate(data.nCols)(c => data.cols(c)(i)))
-      i += 1
+    requireKeys(data.keys)
+    data.keys.foreach(k => require(exist.get(k), s"update of non-existing key $k"))
+    val miss = new java.util.BitSet(data.rows)
+    mispredicted(model, enc, data).foreach(i => miss.set(i))
+    data.keys.indices.foreach { i =>
+      if (miss.get(i)) aux.add(data.keys(i), data.row(i))
+      else aux.remove(data.keys(i)) // model now agrees: stale aux entry goes away
     }
   }
 
@@ -135,41 +98,28 @@ final class DeepMapping(
     else { retrain(currentData); true }
   }
 
-  /** Unconditional retrain/reconstruct on the given logical content. */
+  /** Unconditional retrain/reconstruct on the given logical content. The
+    * key encoder is rebuilt with the model: inserts may have widened the
+    * key domain. */
   def retrain(currentData: KvData): Unit = {
     val rebuilt = DeepMapping.build(currentData, dicts, cfg)
     val oldAux = aux
     model = rebuilt.model
+    enc = rebuilt.enc
     aux = rebuilt.aux
     oldAux.close()
   }
 
   /** Fraction of live rows the model alone predicts correctly (Fig. 6's
     * "model memorised X% of tuples"). */
-  def modelAccuracy(data: KvData): Double = {
-    val preds = Trainer.predictAll(model, data.keys, enc.encode)
-    var ok = 0
-    var i = 0
-    while (i < data.rows) {
-      var all = true
-      var c = 0
-      while (c < data.nCols && all) { all = preds(c)(i) == data.cols(c)(i); c += 1 }
-      if (all) ok += 1
-      i += 1
-    }
-    ok.toDouble / math.max(1, data.rows)
-  }
+  def modelAccuracy(data: KvData): Double =
+    (data.rows - mispredicted(model, enc, data).length).toDouble / math.max(1, data.rows)
 
   /** Immutable, serializable snapshot for executor-side lookup
     * (see [[SparkLookup]]). */
   def snapshot(): DmSnapshot = {
     val (ks, cs) = aux.entries()
-    DmSnapshot(model.serialize(), enc, dicts, ks, cs, {
-      val keys = scala.collection.mutable.ArrayBuffer.empty[Long]
-      var k = 0L
-      while (k < exist.capacity) { if (exist.get(k)) keys += k; k += 1 }
-      keys.toArray
-    })
+    DmSnapshot(model.serialize(), enc, dicts, ks, cs, exist.copy)
   }
 
   override def close(): Unit = aux.close()
@@ -196,6 +146,7 @@ object DeepMapping {
     * 2. run every key through M; mispredicted pairs go to T_aux;
     * 3. V_exist gets one bit per existing key. */
   def build(data: KvData, dicts: ValueDicts, cfg: DmConfig): DeepMapping = {
+    requireKeys(data.keys)
     val maxKey = if (data.rows == 0) 0L else data.keys.max
     val enc = KeyEncoder(maxKey)
     val arch = cfg.arch.getOrElse {
@@ -205,26 +156,52 @@ object DeepMapping {
     }
     val model = MultiTaskNet(enc.featDim, arch, cfg.seed)
     Trainer.fit(model, data.keys, data.cols, enc.encode, cfg.train)
-    // Misclassification sweep.
-    val preds = Trainer.predictAll(model, data.keys, enc.encode)
-    val missKeys = scala.collection.mutable.ArrayBuffer.empty[Long]
-    val missCols = Array.fill(data.nCols)(scala.collection.mutable.ArrayBuffer.empty[Int])
-    var i = 0
-    while (i < data.rows) {
-      var ok = true
-      var c = 0
-      while (c < data.nCols && ok) { ok = preds(c)(i) == data.cols(c)(i); c += 1 }
-      if (!ok) {
-        missKeys += data.keys(i)
-        c = 0
-        while (c < data.nCols) { missCols(c) += data.cols(c)(i); c += 1 }
-      }
-      i += 1
-    }
-    val aux = AuxTable.build(missKeys.toArray, missCols.map(_.toArray),
+    val miss = mispredicted(model, enc, data)
+    val aux = AuxTable.build(miss.map(data.keys(_)), data.cols.map(col => miss.map(col(_))),
       cfg.codec, cfg.partitionBytes, new BufferPool(cfg.poolBudget))
     val exist = ExistenceBitmap.fromKeys(data.keys)
     new DeepMapping(model, enc, dicts, aux, exist, cfg)
+  }
+
+  /** The key encoder covers keys 0..maxKey only: reject the first
+    * negative key before any state changes. */
+  private def requireKeys(keys: Array[Long]): Unit =
+    keys.find(_ < 0).foreach(k => throw new IllegalArgumentException(s"negative key $k: keys must be >= 0"))
+
+  /** Misclassification sweep: indices of the rows of `data` that `model`
+    * mispredicts in at least one column, ascending. */
+  private def mispredicted(model: MultiTaskNet, enc: KeyEncoder, data: KvData): Array[Int] = {
+    val preds = Trainer.predictAll(model, data.keys, enc.encode)
+    val out = Array.newBuilder[Int]
+    var i = 0
+    while (i < data.rows) {
+      var c = 0
+      while (c < data.nCols && preds(c)(i) == data.cols(c)(i)) c += 1
+      if (c < data.nCols) out += i
+      i += 1
+    }
+    out.result()
+  }
+
+  /** Algorithm 1 over any T_aux: V_exist admits the existing keys (the
+    * rest stay NULL and are never encoded), M predicts the admitted keys in
+    * one batch, and `auxGet` overrides the rows T_aux holds. */
+  private[core] def lookup(model: MultiTaskNet, enc: KeyEncoder, exist: ExistenceBitmap, keys: Array[Long],
+                           auxGet: Array[Long] => Array[Array[Int]]): Array[Array[Int]] = {
+    val live = keys.filter(exist.get)
+    val preds = Trainer.predictAll(model, live, enc.encode)
+    val corrected = auxGet(live)
+    val out = new Array[Array[Int]](keys.length)
+    var i = 0
+    var j = 0
+    while (i < keys.length) {
+      if (exist.get(keys(i))) {
+        out(i) = if (corrected(j) != null) corrected(j) else preds.map(_(j))
+        j += 1
+      }
+      i += 1
+    }
+    out
   }
 
   /** DataFrame-first build: dictionaries via Spark aggregations, then the
@@ -237,7 +214,7 @@ object DeepMapping {
 }
 
 /** Serializable snapshot of a DeepMapping for distributed lookup: model
-  * bytes + sorted aux arrays + the existing-key set. Executors rebuild a
+  * bytes + sorted aux arrays + a copy of V_exist. Executors rebuild a
   * cheap in-memory view once per partition. */
 final case class DmSnapshot(
     modelBytes: Array[Byte],
@@ -245,35 +222,15 @@ final case class DmSnapshot(
     dicts: ValueDicts,
     auxKeys: Array[Long],
     auxCols: Array[Array[Int]],
-    existingKeys: Array[Long],
+    exist: ExistenceBitmap,
 ) extends Serializable {
 
   @transient lazy val model: MultiTaskNet = MultiTaskNet.deserialize(modelBytes)
-  @transient lazy val existSet: java.util.HashSet[Long] = {
-    val s = new java.util.HashSet[Long](existingKeys.length * 2)
-    existingKeys.foreach(s.add)
-    s
-  }
 
-  /** Algorithm 1 against the snapshot (columnar, batched). */
-  def lookupBatch(keys: Array[Long]): Array[Array[String]] = {
-    val x = Mat.zeros(keys.length, enc.featDim)
-    var r = 0
-    while (r < keys.length) { enc.encode(keys(r), x.data, r * enc.featDim); r += 1 }
-    val preds = model.predict(x)
-    val out = new Array[Array[String]](keys.length)
-    r = 0
-    while (r < keys.length) {
-      val k = keys(r)
-      if (existSet.contains(k)) {
-        val pos = java.util.Arrays.binarySearch(auxKeys, k)
-        val codes =
-          if (pos >= 0) Array.tabulate(auxCols.length)(c => auxCols(c)(pos))
-          else Array.tabulate(preds.length)(t => preds(t)(r))
-        out(r) = Array.tabulate(codes.length)(c => dicts.cols(c).decode(codes(c)))
-      }
-      r += 1
-    }
-    out
-  }
+  /** Algorithm 1 against the snapshot (columnar, batched), f_decode applied. */
+  def lookupBatch(keys: Array[Long]): Array[Array[String]] =
+    DeepMapping.lookup(model, enc, exist, keys, _.map { k =>
+      val pos = java.util.Arrays.binarySearch(auxKeys, k)
+      if (pos >= 0) auxCols.map(_(pos)) else null
+    }).map(codes => if (codes == null) null else dicts.decode(codes))
 }

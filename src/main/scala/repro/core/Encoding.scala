@@ -64,6 +64,8 @@ final case class ColumnDict(name: String, values: Array[String]) extends Seriali
 /** All column dictionaries of a mapping. */
 final case class ValueDicts(cols: Array[ColumnDict]) extends Serializable {
   def nCols: Int = cols.length
+  /** f_decode of one row of value codes. */
+  def decode(codes: Array[Int]): Array[String] = Array.tabulate(codes.length)(c => cols(c).decode(codes(c)))
   /** Storage charge: zstd-compressed serialized dictionaries. */
   lazy val byteSize: Long = {
     val bos = new java.io.ByteArrayOutputStream()

@@ -14,6 +14,9 @@ final class ExistenceBitmap private (private var words: Array[Long], private var
 
   def capacity: Long = nBits
 
+  /** An independent copy (snapshots must not see later modifications). */
+  def copy: ExistenceBitmap = new ExistenceBitmap(words.clone(), nBits)
+
   private def ensure(key: Long): Unit = {
     if (key >= nBits) {
       val newBits = math.max(key + 1, nBits * 2)

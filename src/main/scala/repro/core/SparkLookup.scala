@@ -9,8 +9,7 @@ import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType
   * The hybrid structure is an access method, not a plan rewrite, so the
   * Catalyst extension point is the function/DataSource layer (DESIGN.md
   * §4): a broadcast [[DmSnapshot]] serves per-partition *columnar batch
-  * inference* inside `Dataset.mapPartitions`, and scalar lookups are
-  * registered in the session's function registry as UDFs.
+  * inference* inside `Dataset.mapPartitions`.
   */
 object SparkLookup {
 
@@ -41,20 +40,6 @@ object SparkLookup {
           }
         }
       }
-  }
-
-  /** Register `"<prefix>_<column>"(key) -> value-string` scalar UDFs in
-    * the session function registry, e.g.
-    * `SELECT dm_orders_o_orderstatus(o_orderkey) FROM ...`. */
-  def registerUdfs(spark: SparkSession, prefix: String, snap: DmSnapshot): Seq[String] = {
-    snap.dicts.cols.zipWithIndex.map { case (c, ci) =>
-      val fn = s"${prefix}_${c.name}"
-      spark.udf.register(fn, (k: Long) => {
-        val r = snap.lookupBatch(Array(k))(0)
-        if (r == null) null else r(ci)
-      })
-      fn
-    }.toSeq
   }
 
   /** Distributed misclassification evaluation used by integration tests:

@@ -1,153 +1,32 @@
 package repro.store
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
+import repro.compress.BlockCodec
 
-import repro.compress.{BitPack, BlockCodec}
-
-/** Array-based representation (paper baselines AB / ABC-*):
-  * rows sorted by key, range-partitioned into fixed-size blocks; each
-  * block serialises the key array plus columnar value arrays (the
-  * "serialized numpy array" analogue), optionally dictionary/bit-packed
-  * (ABC-D) and/or block-compressed (ABC-G/Z/L). Lookup binary-searches
-  * the block index, loads the block through the buffer pool, then
-  * binary-searches the keys inside the block.
+/** Array-based representation (paper baselines AB / ABC-*): the rows in
+  * [[SortedBlocks]], optionally dictionary/bit-packed (ABC-D) and/or
+  * block-compressed (ABC-G/Z/L). Lookup binary-searches the block index,
+  * loads the block through the buffer pool, then binary-searches the keys
+  * inside the block.
   */
-final class ArrayStore private (
-    val name: String,
-    store: BlockStore,
-    firstKeys: Array[Long],
-    lastKeys: Array[Long],
-    codec: BlockCodec,
-    bitPacked: Boolean,
-    val pool: BufferPool,
-) extends KeyValueStore {
-
-  override def storageBytes: Long = store.fileBytes + firstKeys.length * 16L
-
-  private final class Decoded(val keys: Array[Long], val cols: Array[Array[Int]]) {
-    def charge: Long = keys.length.toLong * (8 + 4 * cols.length) + 64
-  }
-
-  private def loadBlock(id: Int): Decoded =
-    pool.get[Decoded]((store.path, id)) {
-      val raw = codec.decompress(store.read(id))
-      val in = new DataInputStream(new ByteArrayInputStream(raw))
-      val rows = in.readInt(); val nCols = in.readInt()
-      val keys = new Array[Long](rows)
-      var i = 0
-      while (i < rows) { keys(i) = in.readLong(); i += 1 }
-      val cols = Array.fill(nCols)(null: Array[Int])
-      var c = 0
-      while (c < nCols) {
-        if (bitPacked) {
-          val bits = in.readInt(); val len = in.readInt()
-          val packed = new Array[Byte](len); in.readFully(packed)
-          cols(c) = BitPack.unpack(packed, bits, rows)
-        } else {
-          val a = new Array[Int](rows)
-          var j = 0
-          while (j < rows) { a(j) = in.readInt(); j += 1 }
-          cols(c) = a
-        }
-        c += 1
-      }
-      val d = new Decoded(keys, cols)
-      (d, d.charge)
-    }
-
-  override def lookup(keys: Array[Long]): Array[Array[Int]] = {
-    val out = new Array[Array[Int]](keys.length)
-    // Sort probe order by key so each block is touched once per batch
-    // (paper §IV-B.2: batch keys are sorted before validation).
-    val order = Array.tabulate(keys.length)(Integer.valueOf)
-    java.util.Arrays.sort(order, (a: Integer, b: Integer) => java.lang.Long.compare(keys(a), keys(b)))
-    var cur = -1
-    var curBlock: Decoded = null
-    var oi = 0
-    while (oi < order.length) {
-      val qi = order(oi).intValue
-      val k = keys(qi)
-      val b = blockOf(k)
-      if (b >= 0) {
-        // Key-sorted probing makes block ids non-decreasing: hold the
-        // current block locally so even an uncacheable (over-budget)
-        // partition is decoded once per batch, not once per key.
-        if (b != cur) { curBlock = loadBlock(b); cur = b }
-        val pos = java.util.Arrays.binarySearch(curBlock.keys, k)
-        if (pos >= 0) out(qi) = curBlock.cols.map(_(pos))
-      }
-      oi += 1
-    }
-    out
-  }
-
-  /** Index of the block whose [first,last] range covers `k`, or -1. */
-  private def blockOf(k: Long): Int = {
-    var lo = 0; var hi = firstKeys.length - 1; var ans = -1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      if (firstKeys(mid) <= k) { ans = mid; lo = mid + 1 } else hi = mid - 1
-    }
-    if (ans >= 0 && k <= lastKeys(ans)) ans else -1
-  }
-
-  override def close(): Unit = store.delete()
+final class ArrayStore private (val name: String, val blocks: SortedBlocks) extends KeyValueStore {
+  override def pool: BufferPool = blocks.pool
+  override def storageBytes: Long = blocks.byteSize
+  override def lookup(keys: Array[Long]): Array[Array[Int]] = blocks.get(keys)
+  override def close(): Unit = blocks.close()
 }
 
 object ArrayStore {
-
-  /** Serialise one block; bitPacked selects the ABC-D payload. */
-  private[store] def encodeBlock(keys: Array[Long], cols: Array[Array[Int]],
-                                 from: Int, until: Int, bitPacked: Boolean): Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val out = new DataOutputStream(bos)
-    val rows = until - from
-    out.writeInt(rows); out.writeInt(cols.length)
-    var i = from
-    while (i < until) { out.writeLong(keys(i)); i += 1 }
-    var c = 0
-    while (c < cols.length) {
-      if (bitPacked) {
-        val slice = java.util.Arrays.copyOfRange(cols(c), from, until)
-        var mx = 0
-        slice.foreach(v => if (v > mx) mx = v)
-        val bits = BitPack.bitsFor(mx)
-        val packed = BitPack.pack(slice, bits)
-        out.writeInt(bits); out.writeInt(packed.length); out.write(packed)
-      } else {
-        var j = from
-        while (j < until) { out.writeInt(cols(c)(j)); j += 1 }
-      }
-      c += 1
-    }
-    out.close()
-    bos.toByteArray
-  }
 
   /** Build from `data`; `partitionBytes` bounds the *uncompressed* block
     * size (the grid-search knob of paper §V-A.5). */
   def build(tag: String, data: KvData, codec: BlockCodec, partitionBytes: Int,
             poolBudget: Long, bitPacked: Boolean = false): ArrayStore = {
-    val sorted = data.sortedByKey
-    val rowsPerBlock = math.max(1, partitionBytes / sorted.rawRowBytes)
-    val n = sorted.rows
-    val blocks = scala.collection.mutable.ArrayBuffer.empty[Array[Byte]]
-    val firsts = scala.collection.mutable.ArrayBuffer.empty[Long]
-    val lasts = scala.collection.mutable.ArrayBuffer.empty[Long]
-    var from = 0
-    while (from < n) {
-      val until = math.min(n, from + rowsPerBlock)
-      blocks += codec.compress(encodeBlock(sorted.keys, sorted.cols, from, until, bitPacked))
-      firsts += sorted.keys(from)
-      lasts += sorted.keys(until - 1)
-      from = until
-    }
-    val bs = BlockStore.write(tag, blocks.toSeq)
     val nm = (codec, bitPacked) match {
       case (BlockCodec.Noop, false) => "AB"
       case (BlockCodec.Noop, true)  => "ABC-D"
       case (c, _)                   => s"ABC-${c.name.head.toUpper}"
     }
-    new ArrayStore(nm, bs, firsts.toArray, lasts.toArray, codec, bitPacked, new BufferPool(poolBudget))
+    new ArrayStore(nm, SortedBlocks.pack(tag, data.sortedByKey, codec, partitionBytes, bitPacked,
+      new BufferPool(poolBudget)))
   }
 }

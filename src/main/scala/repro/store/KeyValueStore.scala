@@ -11,6 +11,8 @@ final case class KvData(keys: Array[Long], cols: Array[Array[Int]]) {
   /** Uncompressed row bytes: 8-byte key + 4 bytes per value column. */
   def rawRowBytes: Int = 8 + 4 * nCols
   def rawBytes: Long = rows.toLong * rawRowBytes
+  /** Value codes of row `i`. */
+  def row(i: Int): Array[Int] = cols.map(_(i))
 
   /** Copy sorted by key (stable pairing of columns). */
   def sortedByKey: KvData = {

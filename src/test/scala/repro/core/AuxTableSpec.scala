@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.compress.BlockCodec
-import repro.store.BufferPool
+import repro.store.{ArrayStore, BufferPool, KvData}
 
 /** T_aux: packed lookup, overlay modifications, repack, size accounting. */
 class AuxTableSpec extends AnyFunSuite {
@@ -161,5 +161,29 @@ class AuxTableSpec extends AnyFunSuite {
       t.remove(2L) // tombstone
       assert(t.entryCount == 10)
     } finally t.close()
+  }
+
+  test("ArrayStore (AB, ABC-D) and AuxTable answer like one reference map, block edges included") {
+    val rng = new scala.util.Random(5)
+    val n = 400
+    val keys = Array.tabulate(n)(i => i.toLong * 3 + 1) // gaps: absent keys inside the range
+    val cols = Array.fill(2)(Array.fill(n)(rng.nextInt(50)))
+    val ref = keys.indices.map(i => keys(i) -> cols.map(_(i)).toSeq).toMap
+    val perm = rng.shuffle(keys.indices.toVector).toArray // built from unsorted input
+    val data = KvData(perm.map(keys(_)), cols.map(col => perm.map(col(_))))
+    val partitionBytes = 160 // 10 rows of 8 + 2 * 4 bytes per block
+    val edges = (0 until n by 10).flatMap(i => Seq(keys(i), keys(i + 9)))
+    val probes = rng.shuffle(edges.flatMap(k => Seq(k - 1, k, k + 1)) ++ Seq(-5L, 0L, keys.last + 3, Long.MaxValue)).toArray
+    val ab = ArrayStore.build("t", data, BlockCodec.Zstd(), partitionBytes, 0)
+    val abd = ArrayStore.build("t", data, BlockCodec.Noop, partitionBytes, 0, bitPacked = true)
+    val aux = AuxTable.build(data.keys, data.cols, BlockCodec.Zstd(), partitionBytes, new BufferPool(0))
+    try {
+      assert(ab.blocks.blockCount == n / 10 && aux.store.blockCount == n / 10)
+      (0 until n / 10).foreach(b => assert(ab.blocks.store.read(b).sameElements(aux.store.read(b)), s"block $b bytes"))
+      Seq("AB" -> ab.lookup(probes), "ABC-D" -> abd.lookup(probes), "T_aux" -> aux.get(probes),
+        "T_aux single-key" -> probes.map(aux.get)).foreach { case (name, res) =>
+        probes.indices.foreach(i => assert(Option(res(i)).map(_.toSeq) == ref.get(probes(i)), s"$name: key ${probes(i)}"))
+      }
+    } finally { ab.close(); abd.close(); aux.close() }
   }
 }

@@ -207,6 +207,100 @@ class DeepMappingSpec extends SparkSpec {
         "SELECT k, v FROM t ORDER BY 1", "t" -> df)
     } finally dm.close()
   }
+
+  // ---- driver-side data sets for the regression tests below ------------
+
+  private val smallDicts = ValueDicts(Array(ColumnDict("a", Array("x", "y")), ColumnDict("b", Array("p", "q", "r"))))
+  private val oneEpoch = cfg(c => c.copy(train = Trainer.Config(epochs = 1, batchSize = 256)))
+  private def keyRange(from: Int, until: Int): Array[Long] = Array.range(from, until).map(_.toLong)
+  /** Learnable codes: column c is k mod (c + 2). */
+  private def periodic(keys: Array[Long]): KvData = KvData(keys, Array.tabulate(2)(c => keys.map(k => (k % (c + 2)).toInt)))
+  private def random(keys: Array[Long], seed: Long): KvData = {
+    val r = new java.util.Random(seed)
+    KvData(keys, Array(keys.map(_ => r.nextInt(2)), keys.map(_ => r.nextInt(3))))
+  }
+  private def shuffled(keys: Array[Long], seed: Long): Array[Long] = {
+    val r = new java.util.Random(seed)
+    val out = keys.clone()
+    (out.length - 1 to 1 by -1).foreach { i => val j = r.nextInt(i + 1); val t = out(i); out(i) = out(j); out(j) = t }
+    out
+  }
+  private def assertLossless(dm: DeepMapping, data: KvData): Unit = {
+    val res = dm.lookup(data.keys)
+    data.keys.indices.foreach { i =>
+      assert(res(i) != null && res(i).sameElements(data.row(i)), s"key ${data.keys(i)}")
+    }
+  }
+
+  test("retrain after inserts widen the key domain stays lossless (encoder swapped with the model)") {
+    val base = periodic(keyRange(0, 1000))
+    val ins = periodic(keyRange(1000, 2000))
+    val dm = DeepMapping.build(base, smallDicts, oneEpoch)
+    try {
+      dm.insert(ins)
+      val all = TableModHelper.concat(base, ins)
+      dm.retrain(all)
+      assert(dm.enc.featDim == dm.model.featDim)
+      assertLossless(dm, all)
+    } finally dm.close()
+  }
+
+  test("negative keys are rejected by name before any state changes") {
+    val e = intercept[IllegalArgumentException](DeepMapping.build(periodic(Array(3L, -7L, 5L)), smallDicts, oneEpoch))
+    assert(e.getMessage.contains("-7"))
+    val base = periodic(keyRange(0, 500))
+    val dm = DeepMapping.build(base, smallDicts, oneEpoch)
+    try {
+      val before = dm.lookup(base.keys)
+      val ei = intercept[IllegalArgumentException](dm.insert(periodic(Array(900L, -2L))))
+      assert(ei.getMessage.contains("-2"))
+      val eu = intercept[IllegalArgumentException](dm.update(periodic(Array(1L, -4L))))
+      assert(eu.getMessage.contains("-4"))
+      val after = dm.lookup(base.keys)
+      base.keys.indices.foreach(i => assert(after(i).sameElements(before(i)), s"key ${base.keys(i)}"))
+      assert(dm.lookup(Array(900L, -2L)).forall(_ == null))
+      assert(dm.aux.overlaySize == 0)
+    } finally dm.close()
+  }
+
+  test("shuffled lookup and delete batches decompress each T_aux block at most once") {
+    val data = random(keyRange(0, 1500).map(_ * 2), seed = 3) // odd keys are absent
+    val dm = DeepMapping.build(data, smallDicts, oneEpoch.copy(partitionBytes = 512, poolBudget = 0))
+    try {
+      val blocks = dm.aux.store.blockCount
+      assert(blocks > 5, s"only $blocks T_aux blocks")
+      val queries = shuffled(data.keys ++ data.keys.map(_ + 1), seed = 4)
+      dm.pool.stats.reset()
+      val res = dm.lookup(queries)
+      assert(dm.pool.stats.misses <= blocks, s"${dm.pool.stats.misses} misses for $blocks blocks")
+      queries.indices.foreach { i =>
+        if (queries(i) % 2 == 1) assert(res(i) == null)
+        else assert(res(i).sameElements(data.row((queries(i) / 2).toInt)), s"key ${queries(i)}")
+      }
+      val del = shuffled(data.keys, seed = 5).take(700)
+      dm.pool.stats.reset()
+      dm.delete(del)
+      assert(dm.pool.stats.misses <= blocks, s"${dm.pool.stats.misses} misses for $blocks blocks")
+      val gone = del.toSet
+      val kept = data.keys.indices.filterNot(i => gone(data.keys(i)))
+      assert(dm.lookup(del).forall(_ == null))
+      assertLossless(dm, KvData(kept.map(data.keys(_)).toArray, data.cols.map(col => kept.map(col(_)).toArray)))
+    } finally dm.close()
+  }
+
+  test("a snapshot taken before a delete still answers the deleted key") {
+    val data = periodic(keyRange(0, 300))
+    val dm = DeepMapping.build(data, smallDicts, oneEpoch)
+    try {
+      val snap = dm.snapshot()
+      dm.delete(Array(7L))
+      assert(dm.lookup(Array(7L))(0) == null)
+      assert(snap.lookupBatch(Array(7L))(0).toSeq == smallDicts.decode(data.row(7)).toSeq)
+      import spark.implicits._
+      val row = SparkLookup.lookupDf(spark, snap, Seq(7L).toDF("k"), "k").collect()(0)
+      assert(row.getString(1) == smallDicts.decode(data.row(7))(0))
+    } finally dm.close()
+  }
 }
 
 /** Tiny local helper mirroring bench.TableMod.concat for tests. */

@@ -7,8 +7,8 @@ import repro.compress.BlockCodec
 import repro.data.SynthCorr
 import repro.nn.Trainer
 
-/** Distributed lookup paths: snapshot, mapPartitions DataFrame lookup
-  * (oracle-checked against DuckDB), UDF registration. */
+/** Distributed lookup paths: snapshot and mapPartitions DataFrame lookup
+  * (oracle-checked against DuckDB). */
 class SparkLookupSpec extends SparkSpec {
 
   private val valueCols = Seq("v1", "v2", "v3", "v4")
@@ -53,15 +53,6 @@ class SparkLookupSpec extends SparkSpec {
   test("outputSchema has key + one string column per attribute") {
     val s = SparkLookup.outputSchema("k", snap)
     assert(s.fieldNames.toSeq == Seq("k", "v1", "v2", "v3", "v4"))
-  }
-
-  test("registered UDFs answer scalar lookups in SQL") {
-    val fns = SparkLookup.registerUdfs(spark, "dm_high", snap)
-    assert(fns.length == 4)
-    import spark.implicits._
-    Seq(1L).toDF("k").createOrReplaceTempView("qk")
-    val r = spark.sql(s"SELECT ${fns.head}(k) AS v1 FROM qk").collect()(0).getString(0)
-    assert(r == "M") // k=1 -> gender "M"
   }
 
   test("countMisses is zero for the mapped table (lossless end-to-end)") {

@@ -99,6 +99,20 @@ class StoreSpec extends AnyFunSuite with PropHelpers {
     } finally s.close()
   }
 
+  Seq(false -> "AB", true -> "ABC-D").foreach { case (bitPacked, name) =>
+    test(s"$name: a shuffled batch decodes each block at most once under a zero-cache pool") {
+      val d = mkData(600, 2)
+      val s = ArrayStore.build("t", d, BlockCodec.Zstd(), 256, poolBudget = 0, bitPacked = bitPacked)
+      try {
+        val order = scala.util.Random.javaRandomToRandom(new java.util.Random(9)).shuffle(d.keys.indices.toVector)
+        val res = s.lookup(order.map(d.keys(_)).toArray)
+        order.indices.foreach(i => assert(res(i).sameElements(d.row(order(i)))))
+        val blocks = s.blocks.blockCount
+        assert(blocks > 5 && s.pool.stats.misses <= blocks, s"${s.pool.stats.misses} misses for $blocks blocks")
+      } finally s.close()
+    }
+  }
+
   test("HashStore: works under a tight pool budget with many partitions") {
     val d = mkData(1000, 2)
     val s = HashStore.build("t", d, BlockCodec.Zstd(), partitionBytes = 2048, poolBudget = 32 * 1024)
