@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 
 import repro.compress.BlockCodec
 import repro.nn.{MultiTaskNet, NetArch, TaskSpec, Trainer}
-import repro.store.{BufferPool, KeyValueStore, KvData}
+import repro.store.{BufferPool, KeyValueStore, KvData, SortedBlocks}
 
 /** Build/runtime configuration for a DeepMapping hybrid structure. */
 final case class DmConfig(
@@ -43,7 +43,7 @@ final class DeepMapping(
     val exist: ExistenceBitmap,
     val cfg: DmConfig,
 ) extends KeyValueStore {
-  import DeepMapping.{mispredicted, requireKeys}
+  import DeepMapping.requireKeys
 
   override def name: String = s"DM-${cfg.codec.name.head.toUpper}"
   override def pool: BufferPool = aux.pool
@@ -67,8 +67,9 @@ final class DeepMapping(
   def insert(data: KvData): Unit = {
     require(data.nCols == dicts.nCols)
     requireKeys(data.keys)
+    data.keys.foreach(k => require(!exist.get(k), s"insert of existing key $k: use update"))
     data.keys.foreach(exist.set)
-    mispredicted(model, enc, data).foreach(i => aux.add(data.keys(i), data.row(i)))
+    Trainer.mispredicted(model, data.keys, data.cols, enc.encode).foreach(i => aux.add(data.keys(i), data.row(i)))
   }
 
   /** Algorithm 4 — delete: clear the existence bits, drop any aux entries. */
@@ -83,11 +84,9 @@ final class DeepMapping(
     requireKeys(data.keys)
     data.keys.foreach(k => require(exist.get(k), s"update of non-existing key $k"))
     val miss = new java.util.BitSet(data.rows)
-    mispredicted(model, enc, data).foreach(i => miss.set(i))
-    data.keys.indices.foreach { i =>
-      if (miss.get(i)) aux.add(data.keys(i), data.row(i))
-      else aux.remove(data.keys(i)) // model now agrees: stale aux entry goes away
-    }
+    Trainer.mispredicted(model, data.keys, data.cols, enc.encode).foreach(miss.set)
+    aux.remove(data.keys.indices.filterNot(miss.get).map(data.keys(_)).toArray) // the model now agrees
+    miss.stream.forEach(i => aux.add(data.keys(i), data.row(i)))
   }
 
   /** §IV-D trigger: retrain + reconstruct when T_aux outgrew the
@@ -113,13 +112,14 @@ final class DeepMapping(
   /** Fraction of live rows the model alone predicts correctly (Fig. 6's
     * "model memorised X% of tuples"). */
   def modelAccuracy(data: KvData): Double =
-    (data.rows - mispredicted(model, enc, data).length).toDouble / math.max(1, data.rows)
+    (data.rows - Trainer.mispredicted(model, data.keys, data.cols, enc.encode).length).toDouble / math.max(1, data.rows)
 
   /** Immutable, serializable snapshot for executor-side lookup
     * (see [[SparkLookup]]). */
   def snapshot(): DmSnapshot = {
     val (ks, cs) = aux.entries()
-    DmSnapshot(model.serialize(), enc, dicts, ks, cs, exist.copy)
+    DmSnapshot(model, enc, dicts, cfg.codec.compress(SortedBlocks.encodeBlock(ks, cs, 0, ks.length, bitPacked = false)),
+      cfg.codec, exist.copy)
   }
 
   override def close(): Unit = aux.close()
@@ -156,31 +156,22 @@ object DeepMapping {
     }
     val model = MultiTaskNet(enc.featDim, arch, cfg.seed)
     Trainer.fit(model, data.keys, data.cols, enc.encode, cfg.train)
-    val miss = mispredicted(model, enc, data)
+    val miss = Trainer.mispredicted(model, data.keys, data.cols, enc.encode)
     val aux = AuxTable.build(miss.map(data.keys(_)), data.cols.map(col => miss.map(col(_))),
       cfg.codec, cfg.partitionBytes, new BufferPool(cfg.poolBudget))
     val exist = ExistenceBitmap.fromKeys(data.keys)
     new DeepMapping(model, enc, dicts, aux, exist, cfg)
   }
 
-  /** The key encoder covers keys 0..maxKey only: reject the first
-    * negative key before any state changes. */
-  private def requireKeys(keys: Array[Long]): Unit =
+  /** Reject, before any state changes, the first negative key (the key
+    * encoder covers keys 0..maxKey only) and any key a batch repeats (one
+    * key has one value). */
+  private def requireKeys(keys: Array[Long]): Unit = {
     keys.find(_ < 0).foreach(k => throw new IllegalArgumentException(s"negative key $k: keys must be >= 0"))
-
-  /** Misclassification sweep: indices of the rows of `data` that `model`
-    * mispredicts in at least one column, ascending. */
-  private def mispredicted(model: MultiTaskNet, enc: KeyEncoder, data: KvData): Array[Int] = {
-    val preds = Trainer.predictAll(model, data.keys, enc.encode)
-    val out = Array.newBuilder[Int]
-    var i = 0
-    while (i < data.rows) {
-      var c = 0
-      while (c < data.nCols && preds(c)(i) == data.cols(c)(i)) c += 1
-      if (c < data.nCols) out += i
-      i += 1
-    }
-    out.result()
+    val sorted = keys.clone()
+    java.util.Arrays.sort(sorted)
+    (1 until sorted.length).find(i => sorted(i) == sorted(i - 1))
+      .foreach(i => throw new IllegalArgumentException(s"duplicate key ${sorted(i)}: a batch holds each key once"))
   }
 
   /** Algorithm 1 over any T_aux: V_exist admits the existing keys (the
@@ -213,24 +204,24 @@ object DeepMapping {
   }
 }
 
-/** Serializable snapshot of a DeepMapping for distributed lookup: model
-  * bytes + sorted aux arrays + a copy of V_exist. Executors rebuild a
-  * cheap in-memory view once per partition. */
+/** Serializable snapshot of a DeepMapping for distributed lookup: the
+  * model, T_aux as one compressed block in the [[SortedBlocks]] format,
+  * and a copy of V_exist. The model is never trained after its build
+  * (retrain swaps in a new one), so sharing it keeps the snapshot fixed.
+  * Each JVM decodes the block once, on first lookup. */
 final case class DmSnapshot(
-    modelBytes: Array[Byte],
+    model: MultiTaskNet,
     enc: KeyEncoder,
     dicts: ValueDicts,
-    auxKeys: Array[Long],
-    auxCols: Array[Array[Int]],
+    auxBlock: Array[Byte],
+    codec: BlockCodec,
     exist: ExistenceBitmap,
 ) extends Serializable {
 
-  @transient lazy val model: MultiTaskNet = MultiTaskNet.deserialize(modelBytes)
+  @transient private lazy val aux: SortedBlocks.Block = SortedBlocks.decode(codec.decompress(auxBlock), bitPacked = false)
 
   /** Algorithm 1 against the snapshot (columnar, batched), f_decode applied. */
   def lookupBatch(keys: Array[Long]): Array[Array[String]] =
-    DeepMapping.lookup(model, enc, exist, keys, _.map { k =>
-      val pos = java.util.Arrays.binarySearch(auxKeys, k)
-      if (pos >= 0) auxCols.map(_(pos)) else null
-    }).map(codes => if (codes == null) null else dicts.decode(codes))
+    DeepMapping.lookup(model, enc, exist, keys, _.map(aux.row))
+      .map(codes => if (codes == null) null else dicts.decode(codes))
 }

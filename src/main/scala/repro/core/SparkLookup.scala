@@ -41,32 +41,4 @@ object SparkLookup {
         }
       }
   }
-
-  /** Distributed misclassification evaluation used by integration tests:
-    * run the model over a DataFrame of (key, value codes) and return the
-    * number of rows where any task mispredicts. */
-  def countMisses(spark: SparkSession, snap: DmSnapshot, df: DataFrame,
-                  keyCol: String, valueCols: Seq[String]): Long = {
-    val bc = spark.sparkContext.broadcast(snap)
-    val cols = col(keyCol).cast("long") +: valueCols.map(c => col(c).cast("string"))
-    df.select(cols: _*)
-      .mapPartitions { it =>
-        val rows = it.toArray
-        if (rows.isEmpty) Iterator.empty
-        else {
-          val keys = rows.map(_.getLong(0))
-          val preds = bc.value.lookupBatch(keys)
-          var misses = 0L
-          rows.indices.foreach { i =>
-            val p = preds(i)
-            var ok = p != null
-            var c = 0
-            while (c < valueCols.length && ok) { ok = p(c) == rows(i).getString(c + 1); c += 1 }
-            if (!ok) misses += 1
-          }
-          Iterator.single(misses)
-        }
-      }(Encoders.scalaLong)
-      .reduce(_ + _)
-  }
 }

@@ -1,7 +1,7 @@
 package repro.core.mhas
 
 import repro.core.{KeyEncoder, ValueDicts}
-import repro.nn.{Dense, Mat, MultiTaskNet, NetArch, Trainer}
+import repro.nn.{Dense, MultiTaskNet, NetArch, Trainer}
 import repro.store.KvData
 
 /** Multi-task hybrid architecture search — paper Algorithm 2.
@@ -78,24 +78,10 @@ object Mhas {
     new MultiTaskNet(featDim, arch, shared, priv)
   }
 
-  /** Eq. 1 estimate for a trained child on an eval sample. */
+  /** Eq. 1 estimate for a trained child on an eval sample of `data`. */
   private def ratioEstimate(net: MultiTaskNet, data: KvData, enc: KeyEncoder, dicts: ValueDicts,
-                            evalIdx: Array[Int], cfg: Config): Double = {
-    val n = evalIdx.length
-    val x = Mat.zeros(n, enc.featDim)
-    var r = 0
-    while (r < n) { enc.encode(data.keys(evalIdx(r)), x.data, r * enc.featDim); r += 1 }
-    val preds = net.predict(x)
-    var miss = 0
-    r = 0
-    while (r < n) {
-      var ok = true
-      var c = 0
-      while (c < data.nCols && ok) { ok = preds(c)(r) == data.cols(c)(evalIdx(r)); c += 1 }
-      if (!ok) miss += 1
-      r += 1
-    }
-    val missRate = miss.toDouble / n
+                            sample: KvData, cfg: Config): Double = {
+    val missRate = Trainer.mispredicted(net, sample.keys, sample.cols, enc.encode).length.toDouble / sample.rows
     val auxBytes = missRate * data.rows * data.rawRowBytes * cfg.auxCodecRatio
     val existBytes = data.rows / 8.0 * 0.25 // compressed bit vector estimate
     (net.byteSize + auxBytes + existBytes + dicts.byteSize) / data.rawBytes.toDouble
@@ -109,6 +95,7 @@ object Mhas {
     val bank = new Bank(cfg.seed)
     val controller = new Controller(cfg.space, seed = cfg.seed)
     val evalIdx = Array.fill(math.min(cfg.evalRows, data.rows))(rng.nextInt(data.rows))
+    val sample = KvData(evalIdx.map(data.keys(_)), data.cols.map(col => evalIdx.map(col(_))))
     val order = Array.tabulate(data.rows)(identity)
 
     var baseline = -1.0 // EMA of rewards
@@ -138,7 +125,7 @@ object Mhas {
         val s2 = controller.sample(rng)
         val arch2 = cfg.space.decode(s2.decisions)
         val child2 = childFromBank(bank, enc.featDim, arch2)
-        val ratio = ratioEstimate(child2, data, enc, dicts, evalIdx, cfg)
+        val ratio = ratioEstimate(child2, data, enc, dicts, sample, cfg)
         history += ratio
         if (ratio < bestRatio) { bestRatio = ratio; bestArch = arch2 }
         val reward = -ratio
@@ -151,7 +138,7 @@ object Mhas {
     val greedy = controller.sample(rng, greedy = true)
     val gArch = cfg.space.decode(greedy.decisions)
     val gChild = childFromBank(bank, enc.featDim, gArch)
-    val gRatio = ratioEstimate(gChild, data, enc, dicts, evalIdx, cfg)
+    val gRatio = ratioEstimate(gChild, data, enc, dicts, sample, cfg)
     if (gRatio < bestRatio) { bestRatio = gRatio; bestArch = gArch }
     Result(bestArch, bestRatio, history.toSeq)
   }

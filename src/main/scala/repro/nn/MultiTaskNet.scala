@@ -94,28 +94,6 @@ final class MultiTaskNet(val featDim: Int, val arch: NetArch,
     priv.foreach(_.foreach(_.step(lr, t)))
     loss / (n.toDouble * priv.length)
   }
-
-  /** Fraction of rows where *every* task prediction matches its label. */
-  def exactMatchRate(x: Mat, labels: Array[Array[Int]]): Double = {
-    val preds = predict(x)
-    var ok = 0
-    var r = 0
-    while (r < x.rows) {
-      var all = true
-      var t = 0
-      while (t < preds.length && all) { all = preds(t)(r) == labels(t)(r); t += 1 }
-      if (all) ok += 1
-      r += 1
-    }
-    ok.toDouble / math.max(1, x.rows)
-  }
-
-  def serialize(): Array[Byte] = {
-    val bos = new java.io.ByteArrayOutputStream()
-    val oos = new java.io.ObjectOutputStream(bos)
-    oos.writeObject(this); oos.close()
-    bos.toByteArray
-  }
 }
 
 object MultiTaskNet {
@@ -134,10 +112,5 @@ object MultiTaskNet {
       (hidden :+ new Dense(p, t.nClasses, relu = false, seed + 900 + ti)).toArray
     }.toArray
     new MultiTaskNet(featDim, arch, shared, priv)
-  }
-
-  def deserialize(bytes: Array[Byte]): MultiTaskNet = {
-    val ois = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes))
-    try ois.readObject().asInstanceOf[MultiTaskNet] finally ois.close()
   }
 }

@@ -95,4 +95,20 @@ object Trainer {
     }
     out
   }
+
+  /** Misclassification sweep: indices of the rows whose prediction misses
+    * its label in at least one task, ascending. */
+  def mispredicted(net: MultiTaskNet, keys: Array[Long], labels: Array[Array[Int]],
+                   encode: (Long, Array[Float], Int) => Unit): Array[Int] = {
+    val preds = predictAll(net, keys, encode)
+    val out = Array.newBuilder[Int]
+    var i = 0
+    while (i < keys.length) {
+      var t = 0
+      while (t < labels.length && preds(t)(i) == labels(t)(i)) t += 1
+      if (t < labels.length) out += i
+      i += 1
+    }
+    out.result()
+  }
 }

@@ -42,27 +42,8 @@ final class SortedBlocks private (
   /** Block `id`, read, decompressed and deserialised on a pool miss. */
   def block(id: Int): Block =
     pool.get[Block]((store.path, id)) {
-      val in = new DataInputStream(new ByteArrayInputStream(codec.decompress(store.read(id))))
-      val n = in.readInt(); val nCols = in.readInt()
-      val keys = new Array[Long](n)
-      var i = 0
-      while (i < n) { keys(i) = in.readLong(); i += 1 }
-      val cols = new Array[Array[Int]](nCols)
-      var c = 0
-      while (c < nCols) {
-        if (bitPacked) {
-          val bits = in.readInt()
-          val packed = new Array[Byte](in.readInt()); in.readFully(packed)
-          cols(c) = BitPack.unpack(packed, bits, n)
-        } else {
-          val a = new Array[Int](n)
-          var j = 0
-          while (j < n) { a(j) = in.readInt(); j += 1 }
-          cols(c) = a
-        }
-        c += 1
-      }
-      (new Block(keys, cols), n.toLong * (8 + 4 * nCols) + 64)
+      val blk = SortedBlocks.decode(codec.decompress(store.read(id)), bitPacked)
+      (blk, blk.keys.length.toLong * (8 + 4 * blk.cols.length) + 64)
     }
 
   /** Value row of each of `keys` (null where absent), in the order of
@@ -100,6 +81,31 @@ object SortedBlocks {
       val pos = java.util.Arrays.binarySearch(keys, k)
       if (pos >= 0) cols.map(_(pos)) else null
     }
+  }
+
+  /** Deserialise one uncompressed block written by [[encodeBlock]]. */
+  def decode(bytes: Array[Byte], bitPacked: Boolean): Block = {
+    val in = new DataInputStream(new ByteArrayInputStream(bytes))
+    val n = in.readInt(); val nCols = in.readInt()
+    val keys = new Array[Long](n)
+    var i = 0
+    while (i < n) { keys(i) = in.readLong(); i += 1 }
+    val cols = new Array[Array[Int]](nCols)
+    var c = 0
+    while (c < nCols) {
+      if (bitPacked) {
+        val bits = in.readInt()
+        val packed = new Array[Byte](in.readInt()); in.readFully(packed)
+        cols(c) = BitPack.unpack(packed, bits, n)
+      } else {
+        val a = new Array[Int](n)
+        var j = 0
+        while (j < n) { a(j) = in.readInt(); j += 1 }
+        cols(c) = a
+      }
+      c += 1
+    }
+    new Block(keys, cols)
   }
 
   /** Serialise rows [from, until); bitPacked selects the ABC-D payload. */

@@ -263,6 +263,37 @@ class DeepMappingSpec extends SparkSpec {
     } finally dm.close()
   }
 
+  test("a batch repeating a key is rejected before any state changes") {
+    val e = intercept[IllegalArgumentException](DeepMapping.build(periodic(Array(3L, 5L, 3L)), smallDicts, oneEpoch))
+    assert(e.getMessage.contains("duplicate key 3"))
+    val base = periodic(keyRange(0, 500))
+    val dm = DeepMapping.build(base, smallDicts, oneEpoch)
+    try {
+      val before = dm.lookup(base.keys)
+      val ei = intercept[IllegalArgumentException](dm.insert(periodic(Array(900L, 901L, 900L))))
+      assert(ei.getMessage.contains("duplicate key 900"))
+      val eu = intercept[IllegalArgumentException](dm.update(KvData(Array(4L, 2L, 4L), Array(Array(1, 0, 0), Array(2, 1, 0)))))
+      assert(eu.getMessage.contains("duplicate key 4"))
+      val after = dm.lookup(base.keys)
+      base.keys.indices.foreach(i => assert(after(i).sameElements(before(i)), s"key ${base.keys(i)}"))
+      assert(dm.lookup(Array(900L, 901L)).forall(_ == null))
+      assert(dm.aux.overlaySize == 0)
+    } finally dm.close()
+  }
+
+  test("inserting an existing key is rejected and keeps its value") {
+    val dm = DeepMapping.build(periodic(keyRange(0, 500)), smallDicts, oneEpoch)
+    try {
+      val k = 1L
+      val modelCodes = Trainer.predictAll(dm.model, Array(k), dm.enc.encode).map(_(0))
+      val stored = modelCodes.zipWithIndex.map { case (p, c) => (p + 1) % (c + 2) }
+      dm.update(KvData(Array(k), stored.map(Array(_)))) // T_aux now overrides the model for k
+      val e = intercept[IllegalArgumentException](dm.insert(KvData(Array(k), modelCodes.map(Array(_)))))
+      assert(e.getMessage.contains(s"existing key $k"))
+      assert(dm.lookup(Array(k))(0).sameElements(stored))
+    } finally dm.close()
+  }
+
   test("shuffled lookup and delete batches decompress each T_aux block at most once") {
     val data = random(keyRange(0, 1500).map(_ * 2), seed = 3) // odd keys are absent
     val dm = DeepMapping.build(data, smallDicts, oneEpoch.copy(partitionBytes = 512, poolBudget = 0))
@@ -285,6 +316,48 @@ class DeepMappingSpec extends SparkSpec {
       val kept = data.keys.indices.filterNot(i => gone(data.keys(i)))
       assert(dm.lookup(del).forall(_ == null))
       assertLossless(dm, KvData(kept.map(data.keys(_)).toArray, data.cols.map(col => kept.map(col(_)).toArray)))
+      // Half the updates agree with the model (their T_aux entries go), half
+      // do not (T_aux overrides them).
+      val upKeys = shuffled(kept.map(data.keys(_)).toArray, seed = 6).take(600)
+      val pred = Trainer.predictAll(dm.model, upKeys, dm.enc.encode)
+      val upd = KvData(upKeys, Array.tabulate(2)(c =>
+        Array.tabulate(upKeys.length)(i => if (i % 2 == 0) pred(c)(i) else (pred(c)(i) + 1) % (c + 2))))
+      dm.pool.stats.reset()
+      dm.update(upd)
+      assert(dm.pool.stats.misses <= blocks, s"${dm.pool.stats.misses} misses for $blocks blocks")
+      assertLossless(dm, upd)
+    } finally dm.close()
+  }
+
+  private def javaRoundTrip[A](a: A): A = {
+    val bos = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(bos)
+    oos.writeObject(a); oos.close()
+    val ois = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+    try ois.readObject().asInstanceOf[A] finally ois.close()
+  }
+
+  test("a DmSnapshot answers like the driver after Java serialization") {
+    val data = random(keyRange(0, 600), seed = 7)
+    val dm = DeepMapping.build(data, smallDicts, oneEpoch)
+    try {
+      dm.insert(random(keyRange(600, 700), seed = 8)) // overlay adds
+      dm.delete(keyRange(0, 60))                      // tombstones over base entries
+      assert(dm.aux.overlaySize > 0)
+      val queries = keyRange(0, 800)
+      def check(): Unit = {
+        val snap = dm.snapshot()
+        snap.lookupBatch(queries) // decodes T_aux on this side first
+        val got = javaRoundTrip(snap).lookupBatch(queries)
+        val want = dm.lookupValues(queries)
+        queries.indices.foreach(i => assert(Option(got(i)).map(_.toSeq) == Option(want(i)).map(_.toSeq), s"key ${queries(i)}"))
+      }
+      assert(queries.exists(k => dm.aux.get(k) != null && dm.exist.get(k)), "no T_aux-overridden key")
+      assert(queries.exists(k => !dm.exist.get(k)), "no absent key")
+      check()
+      dm.delete(dm.aux.entries()._1) // now T_aux is empty
+      assert(dm.aux.entryCount == 0 && queries.exists(dm.exist.get))
+      check()
     } finally dm.close()
   }
 

@@ -54,15 +54,4 @@ class SparkLookupSpec extends SparkSpec {
     val s = SparkLookup.outputSchema("k", snap)
     assert(s.fieldNames.toSeq == Seq("k", "v1", "v2", "v3", "v4"))
   }
-
-  test("countMisses is zero for the mapped table (lossless end-to-end)") {
-    assert(SparkLookup.countMisses(spark, snap, df, "k", valueCols) == 0L)
-  }
-
-  test("countMisses counts corrupted rows") {
-    import org.apache.spark.sql.functions.{lit, when}
-    val corrupted = df.withColumn("v1",
-      when(col("k") <= 10, lit("CORRUPT")).otherwise(col("v1")))
-    assert(SparkLookup.countMisses(spark, snap, corrupted, "k", valueCols) == 10L)
-  }
 }

@@ -143,13 +143,4 @@ class DataSpec extends SparkSpec {
     assert(types.subsetOf(CropData.CropTypes.toSet))
     assert(types.size >= 2, "degenerate single-class raster")
   }
-
-  test("provided SynthData generators still work (smoke)") {
-    assert(repro.SynthData.lineitem(spark, sf = 0.001).count() > 0)
-    assert(repro.SynthData.orders(spark, sf = 0.001).count() > 0)
-    assert(repro.SynthData.customer(spark, sf = 0.001).count() > 0)
-    assert(repro.SynthData.part(spark, sf = 0.001).count() > 0)
-    assert(repro.SynthData.zipfKeys(spark, 1000, 100).count() == 1000)
-    assert(repro.SynthData.uniformKeys(spark, 1000, 100).count() == 1000)
-  }
 }

@@ -2,7 +2,7 @@ package repro.nn
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Multi-task network: memorisation, loss behaviour, serialization. */
+/** Multi-task network: shapes, memorisation, loss behaviour. */
 class MultiTaskNetSpec extends AnyFunSuite {
 
   private val arch = NetArch(Seq(32), Seq(
@@ -42,7 +42,8 @@ class MultiTaskNetSpec extends AnyFunSuite {
     var lastLoss = Double.MaxValue
     for (_ <- 1 to 300) { t += 1; lastLoss = net.trainBatch(x, labels, 0.01f, t) }
     assert(lastLoss < 0.1, s"loss did not converge: $lastLoss")
-    assert(net.exactMatchRate(x, labels) > 0.95)
+    val preds = net.predict(x)
+    assert((0 until n).count(r => preds(0)(r) == labels(0)(r) && preds(1)(r) == labels(1)(r)) > 0.95 * n)
   }
 
   test("trainBatch loss decreases over iterations") {
@@ -57,31 +58,11 @@ class MultiTaskNetSpec extends AnyFunSuite {
     assert(last < first)
   }
 
-  test("exactMatchRate requires all tasks correct") {
-    val net = MultiTaskNet(20, arch, seed = 5)
-    val x = encode(10)
-    val preds = net.predict(x)
-    // Labels equal to predictions on task 0, never on task 1 -> rate 0.
-    val flipped = preds(1).map(p => 1 - p)
-    assert(net.exactMatchRate(x, Array(preds(0), flipped)) == 0.0)
-    // Labels equal to predictions on both tasks -> rate 1.
-    assert(net.exactMatchRate(x, Array(preds(0), preds(1))) == 1.0)
-  }
-
   test("byteSize counts all layer parameters") {
     val net = MultiTaskNet(20, arch, seed = 6)
     val expected = net.shared.map(_.byteSize).sum + net.priv.flatten.map(_.byteSize).sum + 64
     assert(net.byteSize == expected)
     assert(net.byteSize > 0)
-  }
-
-  test("serialize/deserialize roundtrip preserves predictions") {
-    val net = MultiTaskNet(20, arch, seed = 7)
-    val x = encode(25)
-    val before = net.predict(x)
-    val restored = MultiTaskNet.deserialize(net.serialize())
-    val after = restored.predict(x)
-    assert(before.zip(after).forall { case (a, b) => a.sameElements(b) })
   }
 
   test("net with empty shared trunk still works") {

@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.KeyEncoder
 
-/** Trainer: convergence, determinism, early stopping, batch prediction. */
+/** Trainer: convergence, determinism, early stopping, batch prediction,
+  * the misclassification sweep. */
 class TrainerSpec extends AnyFunSuite {
 
   private val enc = KeyEncoder(999)
@@ -64,6 +65,21 @@ class TrainerSpec extends AnyFunSuite {
     // Batched == unbatched.
     val one = Trainer.predictAll(net, keys, enc.encode, batchSize = 1000)
     assert(all(0).sameElements(one(0)) && all(1).sameElements(one(1)))
+  }
+
+  test("mispredicted requires all tasks correct") {
+    val keys = Array.tabulate(10)(i => i.toLong)
+    val net = MultiTaskNet(enc.featDim, arch, seed = 6)
+    val preds = Trainer.predictAll(net, keys, enc.encode)
+    // Labels equal to predictions on task a, never on task b -> every row.
+    val flipped = preds(1).map(p => (p + 1) % 5)
+    assert(Trainer.mispredicted(net, keys, Array(preds(0), flipped), enc.encode).toSeq == keys.indices)
+    // One task wrong on one row -> that row only.
+    val oneWrong = preds(1).clone()
+    oneWrong(3) = (oneWrong(3) + 1) % 5
+    assert(Trainer.mispredicted(net, keys, Array(preds(0), oneWrong), enc.encode).toSeq == Seq(3))
+    // Labels equal to predictions on both tasks -> no row.
+    assert(Trainer.mispredicted(net, keys, preds, enc.encode).isEmpty)
   }
 
   test("encodeBatch writes features at the right offsets") {
