@@ -43,7 +43,7 @@ final class DeepMapping(
     val exist: ExistenceBitmap,
     val cfg: DmConfig,
 ) extends KeyValueStore {
-  import DeepMapping.requireKeys
+  import DeepMapping.requireRows
 
   override def name: String = s"DM-${cfg.codec.name.head.toUpper}"
   override def pool: BufferPool = aux.pool
@@ -65,8 +65,7 @@ final class DeepMapping(
   /** Algorithm 3 — insert. The model is evaluated on the new tuples; only
     * pairs it cannot generalise to are materialised in T_aux. */
   def insert(data: KvData): Unit = {
-    require(data.nCols == dicts.nCols)
-    requireKeys(data.keys)
+    requireRows(data, dicts)
     data.keys.foreach(k => require(!exist.get(k), s"insert of existing key $k: use update"))
     data.keys.foreach(exist.set)
     Trainer.mispredicted(model, data.keys, data.cols, enc.encode).foreach(i => aux.add(data.keys(i), data.row(i)))
@@ -80,8 +79,7 @@ final class DeepMapping(
 
   /** Algorithm 5 — update (substitution) of existing keys. */
   def update(data: KvData): Unit = {
-    require(data.nCols == dicts.nCols)
-    requireKeys(data.keys)
+    requireRows(data, dicts)
     data.keys.foreach(k => require(exist.get(k), s"update of non-existing key $k"))
     val miss = new java.util.BitSet(data.rows)
     Trainer.mispredicted(model, data.keys, data.cols, enc.encode).foreach(miss.set)
@@ -144,16 +142,14 @@ object DeepMapping {
   /** Build the hybrid structure from encoded data (§IV-B):
     * 1. train M on all key→codes pairs;
     * 2. run every key through M; mispredicted pairs go to T_aux;
-    * 3. V_exist gets one bit per existing key. */
+    * 3. V_exist holds every existing key. */
   def build(data: KvData, dicts: ValueDicts, cfg: DmConfig): DeepMapping = {
-    requireKeys(data.keys)
+    requireRows(data, dicts)
     val maxKey = if (data.rows == 0) 0L else data.keys.max
     val enc = KeyEncoder(maxKey)
-    val arch = cfg.arch.getOrElse {
-      val d = defaultArch(enc, dicts)
-      // Clamp head cardinalities to the actual dictionaries.
-      d.copy(tasks = d.tasks.zipWithIndex.map { case (t, i) => t.copy(nClasses = math.max(2, dicts.cols(i).size)) })
-    }
+    val arch = cfg.arch.getOrElse(defaultArch(enc, dicts))
+    require(arch.tasks.length == dicts.nCols && arch.tasks.zip(dicts.cols).forall { case (t, c) => t.nClasses >= c.size },
+      s"heads ${arch.describe} do not cover the dictionaries ${dicts.cols.map(c => s"${c.name}: ${c.size}").mkString(", ")}")
     val model = MultiTaskNet(enc.featDim, arch, cfg.seed)
     Trainer.fit(model, data.keys, data.cols, enc.encode, cfg.train)
     val miss = Trainer.mispredicted(model, data.keys, data.cols, enc.encode)
@@ -163,15 +159,22 @@ object DeepMapping {
     new DeepMapping(model, enc, dicts, aux, exist, cfg)
   }
 
-  /** Reject, before any state changes, the first negative key (the key
-    * encoder covers keys 0..maxKey only) and any key a batch repeats (one
-    * key has one value). */
-  private def requireKeys(keys: Array[Long]): Unit = {
-    keys.find(_ < 0).foreach(k => throw new IllegalArgumentException(s"negative key $k: keys must be >= 0"))
-    val sorted = keys.clone()
+  /** Reject, before any state changes, a batch whose column count differs
+    * from the dictionaries', the first negative key (the key encoder covers
+    * keys 0..maxKey only), any key a batch repeats (one key has one value),
+    * and the first code outside its column's dictionary (f_decode could
+    * not decode it, and training would read past the head's logits). */
+  private def requireRows(data: KvData, dicts: ValueDicts): Unit = {
+    require(data.nCols == dicts.nCols,
+      s"${data.nCols} value columns, expected ${dicts.nCols} (${dicts.cols.map(_.name).mkString(", ")})")
+    data.keys.find(_ < 0).foreach(k => throw new IllegalArgumentException(s"negative key $k: keys must be >= 0"))
+    val sorted = data.keys.clone()
     java.util.Arrays.sort(sorted)
     (1 until sorted.length).find(i => sorted(i) == sorted(i - 1))
       .foreach(i => throw new IllegalArgumentException(s"duplicate key ${sorted(i)}: a batch holds each key once"))
+    for (c <- 0 until data.nCols; i <- data.keys.indices if data.cols(c)(i) < 0 || data.cols(c)(i) >= dicts.cols(c).size)
+      throw new IllegalArgumentException(
+        s"code ${data.cols(c)(i)} of key ${data.keys(i)} outside column ${dicts.cols(c).name}'s dictionary [0, ${dicts.cols(c).size})")
   }
 
   /** Algorithm 1 over any T_aux: V_exist admits the existing keys (the
@@ -179,18 +182,15 @@ object DeepMapping {
     * one batch, and `auxGet` overrides the rows T_aux holds. */
   private[core] def lookup(model: MultiTaskNet, enc: KeyEncoder, exist: ExistenceBitmap, keys: Array[Long],
                            auxGet: Array[Long] => Array[Array[Int]]): Array[Array[Int]] = {
-    val live = keys.filter(exist.get)
-    val preds = Trainer.predictAll(model, live, enc.encode)
-    val corrected = auxGet(live)
+    val live = Array.range(0, keys.length).filter(i => exist.get(keys(i)))
+    val liveKeys = live.map(keys(_))
+    val preds = Trainer.predictAll(model, liveKeys, enc.encode)
+    val corrected = auxGet(liveKeys)
     val out = new Array[Array[Int]](keys.length)
-    var i = 0
     var j = 0
-    while (i < keys.length) {
-      if (exist.get(keys(i))) {
-        out(i) = if (corrected(j) != null) corrected(j) else preds.map(_(j))
-        j += 1
-      }
-      i += 1
+    while (j < live.length) {
+      out(live(j)) = if (corrected(j) != null) corrected(j) else preds.map(_(j))
+      j += 1
     }
     out
   }

@@ -1,6 +1,6 @@
 package repro.core.mhas
 
-import repro.core.{KeyEncoder, ValueDicts}
+import repro.core.{ExistenceBitmap, KeyEncoder, ValueDicts}
 import repro.nn.{Dense, MultiTaskNet, NetArch, Trainer}
 import repro.store.KvData
 
@@ -78,12 +78,12 @@ object Mhas {
     new MultiTaskNet(featDim, arch, shared, priv)
   }
 
-  /** Eq. 1 estimate for a trained child on an eval sample of `data`. */
+  /** Eq. 1 estimate for a trained child on an eval sample of `data`;
+    * `existBytes` is V_exist's real size, the same for every child. */
   private def ratioEstimate(net: MultiTaskNet, data: KvData, enc: KeyEncoder, dicts: ValueDicts,
-                            sample: KvData, cfg: Config): Double = {
+                            sample: KvData, existBytes: Long, cfg: Config): Double = {
     val missRate = Trainer.mispredicted(net, sample.keys, sample.cols, enc.encode).length.toDouble / sample.rows
     val auxBytes = missRate * data.rows * data.rawRowBytes * cfg.auxCodecRatio
-    val existBytes = data.rows / 8.0 * 0.25 // compressed bit vector estimate
     (net.byteSize + auxBytes + existBytes + dicts.byteSize) / data.rawBytes.toDouble
   }
 
@@ -97,6 +97,7 @@ object Mhas {
     val evalIdx = Array.fill(math.min(cfg.evalRows, data.rows))(rng.nextInt(data.rows))
     val sample = KvData(evalIdx.map(data.keys(_)), data.cols.map(col => evalIdx.map(col(_))))
     val order = Array.tabulate(data.rows)(identity)
+    val existBytes = ExistenceBitmap.fromKeys(data.keys).byteSize
 
     var baseline = -1.0 // EMA of rewards
     var bestRatio = Double.MaxValue
@@ -125,7 +126,7 @@ object Mhas {
         val s2 = controller.sample(rng)
         val arch2 = cfg.space.decode(s2.decisions)
         val child2 = childFromBank(bank, enc.featDim, arch2)
-        val ratio = ratioEstimate(child2, data, enc, dicts, sample, cfg)
+        val ratio = ratioEstimate(child2, data, enc, dicts, sample, existBytes, cfg)
         history += ratio
         if (ratio < bestRatio) { bestRatio = ratio; bestArch = arch2 }
         val reward = -ratio
@@ -138,7 +139,7 @@ object Mhas {
     val greedy = controller.sample(rng, greedy = true)
     val gArch = cfg.space.decode(greedy.decisions)
     val gChild = childFromBank(bank, enc.featDim, gArch)
-    val gRatio = ratioEstimate(gChild, data, enc, dicts, sample, cfg)
+    val gRatio = ratioEstimate(gChild, data, enc, dicts, sample, existBytes, cfg)
     if (gRatio < bestRatio) { bestRatio = gRatio; bestArch = gArch }
     Result(bestArch, bestRatio, history.toSeq)
   }

@@ -3,7 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.compress.BlockCodec
 import repro.data.SynthCorr
-import repro.nn.Trainer
+import repro.nn.{NetArch, TaskSpec, Trainer}
 import repro.store.KvData
 
 /** End-to-end DeepMapping hybrid structure: losslessness (Alg. 1),
@@ -291,6 +291,54 @@ class DeepMappingSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](dm.insert(KvData(Array(k), modelCodes.map(Array(_)))))
       assert(e.getMessage.contains(s"existing key $k"))
       assert(dm.lookup(Array(k))(0).sameElements(stored))
+    } finally dm.close()
+  }
+
+  test("a key above 2^38 does not make a never-inserted small key exist") {
+    val big = (1L << 38) + 100
+    val data = periodic(Array(5L, big))
+    val dm = DeepMapping.build(data, smallDicts, oneEpoch)
+    try {
+      assertLossless(dm, data)
+      assert(dm.lookup(Array(100L, 4L, 6L, big - 1, big + 1, 1L << 38)).forall(_ == null))
+    } finally dm.close()
+  }
+
+  test("a build with a key near 10^12 succeeds and is lossless") {
+    val data = random(keyRange(0, 200) :+ 999_999_999_989L, seed = 9)
+    val dm = DeepMapping.build(data, smallDicts, oneEpoch)
+    try {
+      assertLossless(dm, data)
+      assert(dm.lookup(Array(200L, 999_999_999_988L, 999_999_999_990L)).forall(_ == null))
+      assert(dm.storage.existBytes < 1000, s"V_exist charged ${dm.storage.existBytes} B")
+    } finally dm.close()
+  }
+
+  test("codes outside a column's dictionary, wrong column counts and too-narrow heads are rejected before any state changes") {
+    def rejects(body: => Unit, words: String*): Unit = {
+      val e = intercept[IllegalArgumentException](body)
+      words.foreach(w => assert(e.getMessage.contains(w), s"'${e.getMessage}' does not name $w"))
+    }
+    rejects(DeepMapping.build(KvData(Array(1L, 2L), Array(Array(0, 1), Array(2, 3))), smallDicts, oneEpoch),
+      "code 3", "key 2", "column b")
+    rejects(DeepMapping.build(KvData(Array(1L, 2L), Array(Array(0, 1))), smallDicts, oneEpoch), "1 value columns", "a, b")
+    val narrowHeads = NetArch(Seq(8), IndexedSeq(TaskSpec("a", 2, Nil), TaskSpec("b", 2, Nil)))
+    rejects(DeepMapping.build(periodic(keyRange(0, 50)), smallDicts, oneEpoch.copy(arch = Some(narrowHeads))), "b: 3")
+    val base = periodic(keyRange(0, 500))
+    val dm = DeepMapping.build(base, smallDicts, oneEpoch)
+    try {
+      val before = dm.lookup(base.keys)
+      rejects(dm.insert(KvData(Array(900L, 901L), Array(Array(0, 7), Array(0, 0)))), "code 7", "key 901", "column a")
+      rejects(dm.insert(KvData(Array(902L), Array(Array(1), Array(-1)))), "code -1", "key 902", "column b")
+      rejects(dm.insert(KvData(Array(903L), Array(Array(1), Array(1), Array(1)))), "3 value columns")
+      rejects(dm.update(KvData(Array(3L), Array(Array(2), Array(0)))), "code 2", "key 3", "column a")
+      rejects(dm.update(KvData(Array(4L), Array(Array(-5), Array(0)))), "code -5", "key 4", "column a")
+      rejects(dm.update(KvData(Array(4L), Array(Array(1)))), "1 value columns")
+      val after = dm.lookup(base.keys)
+      base.keys.indices.foreach(i => assert(after(i).sameElements(before(i)), s"key ${base.keys(i)}"))
+      assert(dm.lookup(Array(900L, 901L, 902L, 903L)).forall(_ == null))
+      assert(dm.aux.overlaySize == 0)
+      dm.lookupValues(base.keys) // every stored code decodes
     } finally dm.close()
   }
 
