@@ -47,8 +47,7 @@ final class DeepSqueezeLite private (
     val z = Mat.zeros(n, latentDim)
     var i = 0
     while (i < z.data.length) { z.data(i) = bb.getInt * eps; i += 1 }
-    var h = z
-    decoder.foreach(l => h = l.forward(h))
+    val h = Dense.forwardAll(decoder, z).last
     // De-normalise to codes.
     val out = Array.fill(nCols)(new Array[Int](n))
     var r = 0
@@ -92,10 +91,9 @@ object DeepSqueezeLite {
     val m = sorted.nCols
     val latentDim = math.max(1, m / 2)
     val hidden = 16
-    val enc1 = new Dense(m, hidden, relu = true, seed)
-    val enc2 = new Dense(hidden, latentDim, relu = false, seed + 1)
-    val dec1 = new Dense(latentDim, hidden, relu = true, seed + 2)
-    val dec2 = new Dense(hidden, m, relu = false, seed + 3)
+    val encoder = Array(new Dense(m, hidden, relu = true, seed), new Dense(hidden, latentDim, relu = false, seed + 1))
+    val decoder = Array(new Dense(latentDim, hidden, relu = true, seed + 2), new Dense(hidden, m, relu = false, seed + 3))
+    val layers = encoder ++ decoder
     // Normalised input matrix.
     val x = Mat.zeros(n, m)
     var r = 0
@@ -114,27 +112,24 @@ object DeepSqueezeLite {
         val until = math.min(n, from + batch)
         val nb = until - from
         val xb = new Mat(nb, m, java.util.Arrays.copyOfRange(x.data, from * m, until * m))
-        val h1 = enc1.forward(xb); val z = enc2.forward(h1)
-        val h2 = dec1.forward(z); val y = dec2.forward(h2)
+        val acts = Dense.forwardAll(layers, xb)
+        val y = acts.last
         val dy = Mat.zeros(nb, m)
         var i = 0
         while (i < dy.data.length) { dy.data(i) = 2f * (y.data(i) - xb.data(i)) / nb; i += 1 }
-        val d4 = dec2.backward(h2, y, dy)
-        val d3 = dec1.backward(z, h2, d4)
-        val d2 = enc2.backward(h1, z, d3)
-        enc1.backward(xb, h1, d2)
+        Dense.backwardAll(layers, acts, dy)
         t += 1
-        Seq(enc1, enc2, dec1, dec2).foreach(_.step(1e-3f, t))
+        layers.foreach(_.step(1e-3f, t))
         from = until
       }
       e += 1
     }
     // Quantise latents of all rows.
-    val z = enc2.forward(enc1.forward(x))
+    val z = Dense.forwardAll(encoder, x).last
     val bb = java.nio.ByteBuffer.allocate(n * latentDim * 4)
     var i = 0
     while (i < z.data.length) { bb.putInt(math.round(z.data(i) / eps)); i += 1 }
     val latents = BlockCodec.Zstd(3).compress(bb.array())
-    new DeepSqueezeLite(sorted.keys, latents, Array(dec1, dec2), m, cards, latentDim, eps, new BufferPool(poolBudget))
+    new DeepSqueezeLite(sorted.keys, latents, decoder, m, cards, latentDim, eps, new BufferPool(poolBudget))
   }
 }

@@ -72,14 +72,11 @@ object TableHarness {
     Trainer.Config(epochs = epochs, batchSize = 1024, lr = 2e-3f, lrDecay = 0.9999f)
   }
 
-  /** Build DM-Z, then derive DM-L by re-packing T_aux with LZMA — the
-    * model, V_exist and f_decode are shared, as in the paper. */
-  def buildDmPair(data: KvData, dicts: ValueDicts, poolBudget: Long): (DeepMapping, DeepMapping) = {
-    val dmZ = DeepMapping.build(data, dicts,
+  /** Build DM-Z: zstd T_aux in 512 KB partitions. */
+  def buildDmZ(data: KvData, dicts: ValueDicts, poolBudget: Long): DeepMapping =
+    DeepMapping.build(data, dicts,
       DmConfig(codec = BlockCodec.Zstd(3), partitionBytes = 512 * 1024,
         poolBudget = poolBudget, train = dmTrain(data.rows)))
-    (dmZ, deriveDm(dmZ, BlockCodec.Lzma(6), 128 * 1024, poolBudget))
-  }
 
   /** Cheap DM variant sharing the trained model/V_exist/f_decode but with
     * T_aux re-packed under a different codec / partition size / pool. */

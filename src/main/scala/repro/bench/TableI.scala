@@ -47,7 +47,8 @@ object TableI {
     import TableHarness._
     val data = ds.data
     val poolBudget = math.max(1L << 20, (data.rawBytes * 0.35).toLong) // dataset exceeds memory
-    val (dmZ, dmL) = buildDmPair(data, ds.dicts, poolBudget)
+    val dmZ = buildDmZ(data, ds.dicts, poolBudget)
+    val dmL = deriveDm(dmZ, repro.compress.BlockCodec.Lzma(6), 128 * 1024, poolBudget) // model, V_exist, f_decode shared
     val acc = dmZ.modelAccuracy(data)
     val breakdown = dmZ.storage
     val baselines = Baselines.lossless(ds.name.replaceAll("\\W", ""), data, poolBudget)

@@ -51,7 +51,7 @@ object TableII {
     val existing = data.keys
 
     // Train DM once; per machine only the stores/pools are rebuilt.
-    val (dmZ0, dmL0) = buildDmPair(data, ds.dicts, data.rawBytes * 2)
+    val dmZ0 = buildDmZ(data, ds.dicts, data.rawBytes * 2)
     val acc = dmZ0.modelAccuracy(data)
     val breakdown = dmZ0.storage
 
@@ -82,7 +82,7 @@ object TableII {
       baselines.foreach(_.close()); dmZ.close(); dmL.close()
       (m.name, rows)
     }
-    dmZ0.close(); dmL0.close()
+    dmZ0.close()
 
     val methodNames = perMachine.head._2.map(_._1)
     val methods = methodNames.zipWithIndex.map { case (name, i) =>

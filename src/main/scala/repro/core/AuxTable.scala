@@ -73,18 +73,26 @@ final class AuxTable private (codec: BlockCodec, partitionBytes: Int, private va
 
   def remove(k: Long): Unit = remove(Array(k))
 
-  /** All live (key, codes) pairs, sorted by key. */
+  /** All live (key, codes) pairs, sorted by key: one merge of the base
+    * blocks, which are in key order, with the sorted overlay. */
   def entries(): (Array[Long], Array[Array[Int]]) = {
-    val keys = scala.collection.mutable.ArrayBuffer.empty[Long]
-    val cols = Array.fill(nCols)(scala.collection.mutable.ArrayBuffer.empty[Int])
-    def put(k: Long, codes: Int => Int): Unit = { keys += k; cols.indices.foreach(c => cols(c) += codes(c)) }
+    val cap = (base.rows + overlay.size).toInt
+    val keys = new Array[Long](cap)
+    val cols = Array.fill(nCols)(new Array[Int](cap))
+    var n = 0
+    def put(k: Long, code: Int => Int): Unit = { keys(n) = k; cols.indices.foreach(c => cols(c)(n) = code(c)); n += 1 }
+    val over = overlay.entrySet.iterator.asScala.buffered
+    def putOverlay(): Unit = { val e = over.next(); val v = e.getValue; if (v != null) put(e.getKey, v(_)) } // skips tombstones
     (0 until base.blockCount).foreach { b =>
       val blk = base.block(b)
-      blk.keys.indices.foreach(i => if (!overlay.containsKey(blk.keys(i))) put(blk.keys(i), blk.cols(_)(i)))
+      blk.keys.indices.foreach { i =>
+        val k = blk.keys(i)
+        while (over.hasNext && over.head.getKey < k) putOverlay()
+        if (over.hasNext && over.head.getKey == k) putOverlay() else put(k, blk.cols(_)(i))
+      }
     }
-    overlay.forEach((k, v) => if (v != null) put(k, v))
-    val sorted = KvData(keys.toArray, cols.map(_.toArray)).sortedByKey
-    (sorted.keys, sorted.cols)
+    while (over.hasNext) putOverlay()
+    (java.util.Arrays.copyOf(keys, n), cols.map(java.util.Arrays.copyOf(_, n)))
   }
 
   /** Fold the overlay into fresh compressed partitions. */

@@ -44,7 +44,8 @@ final case class KeyEncoder(maxKey: Long) extends Serializable {
 }
 
 /** Per-column dictionary: code -> original value string. The decoding map
-  * f_decode of the hybrid structure; charged to storage per Eq. 1. */
+  * f_decode of the hybrid structure; charged to storage per Eq. 1. A null
+  * cell is one more value of its column, so it round-trips like any other. */
 final case class ColumnDict(name: String, values: Array[String]) extends Serializable {
   @transient lazy val index: java.util.HashMap[String, Integer] = {
     val m = new java.util.HashMap[String, Integer](values.length * 2)
@@ -71,8 +72,11 @@ final case class ValueDicts(cols: Array[ColumnDict]) extends Serializable {
     val bos = new java.io.ByteArrayOutputStream()
     val out = new java.io.DataOutputStream(bos)
     cols.foreach { c =>
-      out.writeUTF(c.name); out.writeInt(c.values.length)
-      c.values.foreach(out.writeUTF)
+      out.writeUTF(c.name)
+      // A null value is charged as its position, flagged by a negated count.
+      val nul = c.values.indexOf(null)
+      if (nul < 0) out.writeInt(c.values.length) else { out.writeInt(-c.values.length); out.writeInt(nul) }
+      c.values.foreach(v => if (v != null) out.writeUTF(v))
     }
     out.close()
     BlockCodec.Zstd(3).compress(bos.toByteArray).length.toLong
@@ -85,12 +89,12 @@ final case class ValueDicts(cols: Array[ColumnDict]) extends Serializable {
   * mapping to train on it). */
 object Encoding {
 
-  /** Distinct-value dictionaries for `valueCols`, via Spark `distinct`. */
+  /** Distinct-value dictionaries for `valueCols`, via Spark `distinct`;
+    * null, where a column holds it, sorts first. */
   def buildDicts(df: DataFrame, valueCols: Seq[String]): ValueDicts = {
     val dicts = valueCols.map { c =>
       val vals = df
         .select(F.col(c).cast("string").as("v"))
-        .where(F.col("v").isNotNull)
         .distinct()
         .orderBy("v")
         .collect()

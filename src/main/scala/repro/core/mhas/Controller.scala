@@ -49,32 +49,16 @@ final class Controller(val space: SearchSpace, hidden: Int = 64, embDim: Int = 1
       val cache = cell.forwardStep(x, h, c)
       caches(t) = cache
       h = cache.h; c = cache.c
-      val k = space.slots(t)._2
-      val logits = new Array[Float](k)
-      var j = 0
-      while (j < k) {
-        var s = headB(t)(j)
-        var p = 0
-        while (p < hidden) { s += h(p) * headW(t).data(p * k + j); p += 1 }
-        logits(j) = s
-        j += 1
-      }
-      // softmax
-      var mx = Float.NegativeInfinity
-      logits.foreach(v => if (v > mx) mx = v)
-      var z = 0.0
-      val pr = new Array[Float](k)
-      j = 0
-      while (j < k) { pr(j) = math.exp((logits(j) - mx).toDouble).toFloat; z += pr(j); j += 1 }
-      j = 0
-      while (j < k) { pr(j) = (pr(j) / z).toFloat; j += 1 }
+      val logits = Mat.addRowInPlace(Mat.mul(new Mat(1, hidden, h), headW(t)), headB(t))
+      val softmax = Mat.softmaxRows(logits)
+      val pr = softmax.data
       probs(t) = pr
       val choice =
-        if (greedy) { var best = 0; var bv = pr(0); var i2 = 1; while (i2 < k) { if (pr(i2) > bv) { bv = pr(i2); best = i2 }; i2 += 1 }; best }
+        if (greedy) Mat.argmaxRows(softmax)(0)
         else {
           val u = rng.nextDouble()
-          var acc = 0.0; var i2 = 0; var pick = k - 1; var done = false
-          while (i2 < k && !done) { acc += pr(i2); if (u <= acc) { pick = i2; done = true }; i2 += 1 }
+          var acc = 0.0; var i2 = 0; var pick = pr.length - 1; var done = false
+          while (i2 < pr.length && !done) { acc += pr(i2); if (u <= acc) { pick = i2; done = true }; i2 += 1 }
           pick
         }
       decisions(t) = choice

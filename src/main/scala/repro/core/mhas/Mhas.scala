@@ -54,30 +54,6 @@ object Mhas {
     }
   }
 
-  /** Shared-weight bank: one Dense per (slot-id, in, out, relu) reused by
-    * every sampled child that selects that slot shape. */
-  private final class Bank(seed: Long) {
-    private val m = scala.collection.mutable.HashMap.empty[(String, Int, Int, Boolean), Dense]
-    def layer(slot: String, in: Int, out: Int, relu: Boolean): Dense =
-      m.getOrElseUpdate((slot, in, out, relu), new Dense(in, out, relu, seed + m.size))
-  }
-
-  private def childFromBank(bank: Bank, featDim: Int, arch: NetArch): MultiTaskNet = {
-    var prev = featDim
-    val shared = arch.sharedSizes.zipWithIndex.map { case (sz, i) =>
-      val l = bank.layer(s"shared$i", prev, sz, relu = true); prev = sz; l
-    }.toArray
-    val sharedOut = prev
-    val priv = arch.tasks.map { t =>
-      var p = sharedOut
-      val hidden = t.privateSizes.zipWithIndex.map { case (sz, i) =>
-        val l = bank.layer(s"${t.name}.p$i", p, sz, relu = true); p = sz; l
-      }
-      (hidden :+ bank.layer(s"${t.name}.head", p, t.nClasses, relu = false)).toArray
-    }.toArray
-    new MultiTaskNet(featDim, arch, shared, priv)
-  }
-
   /** Eq. 1 estimate for a trained child on an eval sample of `data`;
     * `existBytes` is V_exist's real size, the same for every child. */
   private def ratioEstimate(net: MultiTaskNet, data: KvData, enc: KeyEncoder, dicts: ValueDicts,
@@ -92,7 +68,14 @@ object Mhas {
     val maxKey = if (data.rows == 0) 0L else data.keys.max
     val enc = KeyEncoder(maxKey)
     val rng = new java.util.Random(cfg.seed)
-    val bank = new Bank(cfg.seed)
+    // ENAS weight sharing: one Dense per (slot, in, out, relu), handed to
+    // every child that selects that slot shape. A head's slot is
+    // `<task>.head` at any private depth, so children share it.
+    val bank = scala.collection.mutable.HashMap.empty[(String, Int, Int, Boolean), Dense]
+    def child(arch: NetArch): MultiTaskNet = MultiTaskNet.wire(enc.featDim, arch) { (task, depth, in, out) =>
+      val slot = if (task < 0) s"shared$depth" else s"${arch.tasks(task).name}.${if (depth < 0) "head" else s"p$depth"}"
+      bank.getOrElseUpdate((slot, in, out, depth >= 0), new Dense(in, out, depth >= 0, cfg.seed + bank.size))
+    }
     val controller = new Controller(cfg.space, seed = cfg.seed)
     val evalIdx = Array.fill(math.min(cfg.evalRows, data.rows))(rng.nextInt(data.rows))
     val sample = KvData(evalIdx.map(data.keys(_)), data.cols.map(col => evalIdx.map(col(_))))
@@ -110,7 +93,7 @@ object Mhas {
       // --- model training iteration (controller fixed) ---
       val s = controller.sample(rng)
       val arch = cfg.space.decode(s.decisions)
-      val child = childFromBank(bank, enc.featDim, arch)
+      val net = child(arch)
       var b = 0
       while (b < cfg.trainBatchesPerIter) {
         val from = rng.nextInt(math.max(1, data.rows - cfg.batchSize + 1))
@@ -118,14 +101,14 @@ object Mhas {
         val x = Trainer.encodeBatch(data.keys, order, from, until, enc.featDim, enc.encode)
         val y = data.cols.map(col => java.util.Arrays.copyOfRange(col, from, until))
         adamT += 1
-        child.trainBatch(x, y, cfg.modelLr, adamT)
+        net.trainBatch(x, y, cfg.modelLr, adamT)
         b += 1
       }
       // --- controller training iteration (weights fixed) ---
       if ((iter + 1) % cfg.controllerEvery == 0) {
         val s2 = controller.sample(rng)
         val arch2 = cfg.space.decode(s2.decisions)
-        val child2 = childFromBank(bank, enc.featDim, arch2)
+        val child2 = child(arch2)
         val ratio = ratioEstimate(child2, data, enc, dicts, sample, existBytes, cfg)
         history += ratio
         if (ratio < bestRatio) { bestRatio = ratio; bestArch = arch2 }
@@ -138,7 +121,7 @@ object Mhas {
     // Final greedy sample is also a candidate.
     val greedy = controller.sample(rng, greedy = true)
     val gArch = cfg.space.decode(greedy.decisions)
-    val gChild = childFromBank(bank, enc.featDim, gArch)
+    val gChild = child(gArch)
     val gRatio = ratioEstimate(gChild, data, enc, dicts, sample, existBytes, cfg)
     if (gRatio < bestRatio) { bestRatio = gRatio; bestArch = gArch }
     Result(bestArch, bestRatio, history.toSeq)

@@ -12,11 +12,9 @@ final class Dense(val in: Int, val out: Int, val relu: Boolean, seed: Long) exte
   val w: Mat = Mat.randn(in, out, seed)
   val b: Array[Float] = new Array[Float](out)
 
-  // Adam moments.
-  @transient private var mW: Array[Float] = _
-  @transient private var vW: Array[Float] = _
-  @transient private var mB: Array[Float] = _
-  @transient private var vB: Array[Float] = _
+  // Adam moments, made on the first step.
+  @transient private var adamW: Adam = _
+  @transient private var adamB: Adam = _
 
   // Pending gradients from the last backward().
   @transient private var gW: Mat = _
@@ -43,34 +41,57 @@ final class Dense(val in: Int, val out: Int, val relu: Boolean, seed: Long) exte
   private[repro] def pendingGradB: Array[Float] = gB
 
   /** Adam update with the gradients accumulated by backward(). */
-  def step(lr: Float, t: Int, beta1: Float = 0.9f, beta2: Float = 0.999f, eps: Float = 1e-8f): Unit = {
+  def step(lr: Float, t: Int): Unit = {
     if (gW == null) return
-    if (mW == null) {
-      mW = new Array[Float](w.data.length); vW = new Array[Float](w.data.length)
-      mB = new Array[Float](b.length); vB = new Array[Float](b.length)
-    }
-    val bc1 = (1.0 - math.pow(beta1, t)).toFloat
-    val bc2 = (1.0 - math.pow(beta2, t)).toFloat
-    var i = 0
-    val wd = w.data; val gwd = gW.data
-    while (i < wd.length) {
-      val g = gwd(i)
-      mW(i) = beta1 * mW(i) + (1 - beta1) * g
-      vW(i) = beta2 * vW(i) + (1 - beta2) * g * g
-      wd(i) -= lr * (mW(i) / bc1) / (math.sqrt((vW(i) / bc2).toDouble).toFloat + eps)
-      i += 1
-    }
-    i = 0
-    while (i < b.length) {
-      val g = gB(i)
-      mB(i) = beta1 * mB(i) + (1 - beta1) * g
-      vB(i) = beta2 * vB(i) + (1 - beta2) * g * g
-      b(i) -= lr * (mB(i) / bc1) / (math.sqrt((vB(i) / bc2).toDouble).toFloat + eps)
-      i += 1
-    }
+    if (adamW == null) { adamW = new Adam(w.data.length); adamB = new Adam(b.length) }
+    adamW.step(w.data, gW.data, lr, t)
+    adamB.step(b, gB, lr, t)
     gW = null; gB = null
   }
 
   /** Serialized float32 size in bytes — what "size(M)" charges per Eq. 1. */
   def byteSize: Long = paramCount * 4L
+}
+
+object Dense {
+  /** Runs `x` through `layers` in order; returns every activation, `x` first. */
+  def forwardAll(layers: Array[Dense], x: Mat): Array[Mat] = {
+    val acts = new Array[Mat](layers.length + 1)
+    acts(0) = x
+    var i = 0
+    while (i < layers.length) { acts(i + 1) = layers(i).forward(acts(i)); i += 1 }
+    acts
+  }
+
+  /** Backward through `layers` from the output gradient `dy`, where
+    * `acts = forwardAll(layers, x)`; leaves each layer's gradients pending
+    * and returns dX. */
+  def backwardAll(layers: Array[Dense], acts: Array[Mat], dy: Mat): Mat = {
+    var grad = dy
+    var i = layers.length - 1
+    while (i >= 0) { grad = layers(i).backward(acts(i), acts(i + 1), grad); i -= 1 }
+    grad
+  }
+}
+
+/** Adam moments for one parameter array, and the update that uses them
+  * (Kingma & Ba, β1 = 0.9, β2 = 0.999, ε = 1e-8). */
+private[nn] final class Adam(n: Int) extends Serializable {
+  private val m = new Array[Float](n)
+  private val v = new Array[Float](n)
+
+  /** `w -= lr * m̂ / (sqrt(v̂) + ε)` for gradient `g` at timestep `t` (from 1). */
+  def step(w: Array[Float], g: Array[Float], lr: Float, t: Int): Unit = {
+    val beta1 = 0.9f; val beta2 = 0.999f; val eps = 1e-8f
+    val bc1 = (1.0 - math.pow(beta1, t)).toFloat
+    val bc2 = (1.0 - math.pow(beta2, t)).toFloat
+    var i = 0
+    while (i < w.length) {
+      val gi = g(i)
+      m(i) = beta1 * m(i) + (1 - beta1) * gi
+      v(i) = beta2 * v(i) + (1 - beta2) * gi * gi
+      w(i) -= lr * (m(i) / bc1) / (math.sqrt((v(i) / bc2).toDouble).toFloat + eps)
+      i += 1
+    }
+  }
 }

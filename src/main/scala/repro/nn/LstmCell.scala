@@ -21,10 +21,9 @@ final class LstmCell(val inDim: Int, val hidden: Int, seed: Long) extends Serial
   private val gWx = new Array[Float](wx.data.length)
   private val gWh = new Array[Float](wh.data.length)
   private val gB = new Array[Float](b.length)
-  // Adam state.
-  private var mWx: Array[Float] = _; private var vWx: Array[Float] = _
-  private var mWh: Array[Float] = _; private var vWh: Array[Float] = _
-  private var mB: Array[Float] = _; private var vB: Array[Float] = _
+  private val adamWx = new Adam(wx.data.length)
+  private val adamWh = new Adam(wh.data.length)
+  private val adamB = new Adam(b.length)
 
     @inline private def sigmoid(v: Float): Float = (1.0 / (1.0 + math.exp(-v.toDouble))).toFloat
 
@@ -113,27 +112,9 @@ final class LstmCell(val inDim: Int, val hidden: Int, seed: Long) extends Serial
 
   /** Adam step over accumulated gradients; zeroes the accumulators. */
   def step(lr: Float, t: Int): Unit = {
-    if (mWx == null) {
-      mWx = new Array[Float](gWx.length); vWx = new Array[Float](gWx.length)
-      mWh = new Array[Float](gWh.length); vWh = new Array[Float](gWh.length)
-      mB = new Array[Float](gB.length); vB = new Array[Float](gB.length)
-    }
-    adam(wx.data, gWx, mWx, vWx, lr, t)
-    adam(wh.data, gWh, mWh, vWh, lr, t)
-    adam(b, gB, mB, vB, lr, t)
-  }
-
-  private def adam(wd: Array[Float], gd: Array[Float], m: Array[Float], v: Array[Float], lr: Float, t: Int): Unit = {
-    val bc1 = (1.0 - math.pow(0.9, t)).toFloat
-    val bc2 = (1.0 - math.pow(0.999, t)).toFloat
-    var i = 0
-    while (i < wd.length) {
-      val g = gd(i)
-      m(i) = 0.9f * m(i) + 0.1f * g
-      v(i) = 0.999f * v(i) + 0.001f * g * g
-      wd(i) -= lr * (m(i) / bc1) / (math.sqrt((v(i) / bc2).toDouble).toFloat + 1e-8f)
-      gd(i) = 0f
-      i += 1
-    }
+    adamWx.step(wx.data, gWx, lr, t)
+    adamWh.step(wh.data, gWh, lr, t)
+    adamB.step(b, gB, lr, t)
+    java.util.Arrays.fill(gWx, 0f); java.util.Arrays.fill(gWh, 0f); java.util.Arrays.fill(gB, 0f)
   }
 }

@@ -27,13 +27,8 @@ final class MultiTaskNet(val featDim: Int, val arch: NetArch,
 
   /** Forward pass producing per-task logits. */
   def forwardLogits(x: Mat): Array[Mat] = {
-    var h = x
-    shared.foreach(l => h = l.forward(h))
-    priv.map { layers =>
-      var t = h
-      layers.foreach(l => t = l.forward(t))
-      t
-    }
+    val trunk = Dense.forwardAll(shared, x).last
+    priv.map(Dense.forwardAll(_, trunk).last)
   }
 
   /** Per-task argmax class ids: result(task)(row). */
@@ -43,23 +38,15 @@ final class MultiTaskNet(val featDim: Int, val arch: NetArch,
     * Returns mean cross-entropy over tasks. `t` is the Adam timestep. */
   def trainBatch(x: Mat, labels: Array[Array[Int]], lr: Float, t: Int): Double = {
     val n = x.rows
-    // Forward, keeping activations for backprop.
-    val sharedActs = new Array[Mat](shared.length + 1)
-    sharedActs(0) = x
-    var i = 0
-    while (i < shared.length) { sharedActs(i + 1) = shared(i).forward(sharedActs(i)); i += 1 }
-    val trunk = sharedActs(shared.length)
+    val sharedActs = Dense.forwardAll(shared, x)
+    val trunk = sharedActs.last
 
     var loss = 0.0
     var dTrunk: Mat = null
     var ti = 0
     while (ti < priv.length) {
-      val layers = priv(ti)
-      val acts = new Array[Mat](layers.length + 1)
-      acts(0) = trunk
-      var li = 0
-      while (li < layers.length) { acts(li + 1) = layers(li).forward(acts(li)); li += 1 }
-      val logits = acts(layers.length)
+      val acts = Dense.forwardAll(priv(ti), trunk)
+      val logits = acts.last
       val probs = Mat.softmaxRows(logits)
       // CE loss + gradient (softmax - onehot)/n
       val lab = labels(ti)
@@ -74,10 +61,7 @@ final class MultiTaskNet(val featDim: Int, val arch: NetArch,
         dLogits.data(o + y) -= 1.0f / n
         r += 1
       }
-      // Backward through the private stack.
-      var grad: Mat = dLogits
-      li = layers.length - 1
-      while (li >= 0) { grad = layers(li).backward(acts(li), acts(li + 1), grad); li -= 1 }
+      val grad = Dense.backwardAll(priv(ti), acts, dLogits)
       dTrunk = if (dTrunk == null) grad else {
         var k = 0
         while (k < grad.data.length) { dTrunk.data(k) += grad.data(k); k += 1 }
@@ -85,10 +69,7 @@ final class MultiTaskNet(val featDim: Int, val arch: NetArch,
       }
       ti += 1
     }
-    // Backward through the shared trunk.
-    var grad = dTrunk
-    i = shared.length - 1
-    while (i >= 0) { grad = shared(i).backward(sharedActs(i), sharedActs(i + 1), grad); i -= 1 }
+    Dense.backwardAll(shared, sharedActs, dTrunk)
     // Apply updates.
     shared.foreach(_.step(lr, t))
     priv.foreach(_.foreach(_.step(lr, t)))
@@ -98,18 +79,22 @@ final class MultiTaskNet(val featDim: Int, val arch: NetArch,
 
 object MultiTaskNet {
   /** Fresh net with newly initialised layers for `arch`. */
-  def apply(featDim: Int, arch: NetArch, seed: Long): MultiTaskNet = {
-    var prev = featDim
-    val shared = arch.sharedSizes.zipWithIndex.map { case (sz, i) =>
-      val l = new Dense(prev, sz, relu = true, seed + i); prev = sz; l
-    }.toArray
-    val sharedOut = prev
+  def apply(featDim: Int, arch: NetArch, seed: Long): MultiTaskNet =
+    wire(featDim, arch) { (task, depth, in, out) =>
+      val offset = if (task < 0) depth else if (depth < 0) 900 + task else 100 + task * 10 + depth
+      new Dense(in, out, relu = depth >= 0, seed + offset)
+    }
+
+  /** The net of `arch` with its layers taken from `layer(task, depth, in, out)`,
+    * asked in order: the shared trunk (`task` = -1), then per task its
+    * private ReLU stack and its linear head (`depth` = -1). */
+  def wire(featDim: Int, arch: NetArch)(layer: (Int, Int, Int, Int) => Dense): MultiTaskNet = {
+    def stack(task: Int, in: Int, sizes: Seq[Int]): Array[Dense] =
+      (in +: sizes).zip(sizes).zipWithIndex.map { case ((i, o), depth) => layer(task, depth, i, o) }.toArray
+    val shared = stack(-1, featDim, arch.sharedSizes)
+    val trunkOut = arch.sharedSizes.lastOption.getOrElse(featDim)
     val priv = arch.tasks.zipWithIndex.map { case (t, ti) =>
-      var p = sharedOut
-      val hidden = t.privateSizes.zipWithIndex.map { case (sz, i) =>
-        val l = new Dense(p, sz, relu = true, seed + 100 + ti * 10 + i); p = sz; l
-      }
-      (hidden :+ new Dense(p, t.nClasses, relu = false, seed + 900 + ti)).toArray
+      stack(ti, trunkOut, t.privateSizes) :+ layer(ti, -1, t.privateSizes.lastOption.getOrElse(trunkOut), t.nClasses)
     }.toArray
     new MultiTaskNet(featDim, arch, shared, priv)
   }

@@ -422,6 +422,27 @@ class DeepMappingSpec extends SparkSpec {
       assert(row.getString(1) == smallDicts.decode(data.row(7))(0))
     } finally dm.close()
   }
+
+  test("a null value cell is returned as null, and an absent key still returns a NULL row") {
+    import spark.implicits._
+    val rows = (1 to 400).map(k => (k.toLong, if (k % 5 == 0) None else Some(s"v${k % 3}"), s"w${k % 2}"))
+    val df = rows.toDF("k", "v", "w")
+    val dm = DeepMapping.buildFromDf(df, "k", Seq("v", "w"), oneEpoch)
+    try {
+      assert(dm.dicts.cols(0).values.contains(null) && dm.dicts.byteSize > 0)
+      val keys = rows.map(_._1).toArray :+ 401L
+      val got = dm.lookupValues(keys)
+      rows.indices.foreach { i =>
+        assert(got(i) != null && got(i).toSeq == Seq(rows(i)._2.orNull, rows(i)._3), s"key ${keys(i)}")
+      }
+      assert(got.last == null)
+      val out = SparkLookup.lookupDf(spark, dm.snapshot(), Seq(5L, 6L, 401L).toDF("k"), "k")
+        .collect().map(r => r.getLong(0) -> (Option(r.getString(1)), Option(r.getString(2)))).toMap
+      assert(out(5L) == ((None, Some("w1"))))
+      assert(out(6L) == ((Some("v0"), Some("w0"))))
+      assert(out(401L) == ((None, None)))
+    } finally dm.close()
+  }
 }
 
 /** Tiny local helper mirroring bench.TableMod.concat for tests. */

@@ -2,10 +2,12 @@ package repro.nn
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.baseline.DeepSqueezeLite
 import repro.core.KeyEncoder
+import repro.store.KvData
 
 /** Trainer: convergence, determinism, early stopping, batch prediction,
-  * the misclassification sweep. */
+  * the misclassification sweep, and pinned fixed-seed numerics. */
 class TrainerSpec extends AnyFunSuite {
 
   private val enc = KeyEncoder(999)
@@ -91,5 +93,32 @@ class TrainerSpec extends AnyFunSuite {
     assert(x(0, 5) == 1f)
     // key 17: last digit 7.
     assert(x(1, 7) == 1f)
+  }
+
+  // Fixed-seed checksums of trained weights and reconstructions. Any change
+  // to the float arithmetic of the forward pass, backward pass or Adam
+  // (operation order included) moves them.
+
+  test("fit's trained weights and mispredicted count are bit-for-bit pinned") {
+    val keys = Array.tabulate(600)(i => i.toLong)
+    val labels = labelsFor(keys)
+    val net = MultiTaskNet(enc.featDim, arch, seed = 11)
+    Trainer.fit(net, keys, labels, enc.encode, Trainer.Config(epochs = 6, batchSize = 128, lr = 3e-3f, seed = 13))
+    var sum = 17L
+    (net.shared ++ net.priv.flatten).foreach { l =>
+      (l.w.data ++ l.b).foreach(v => sum = sum * 1000003L + java.lang.Float.floatToRawIntBits(v))
+    }
+    assert(sum == -9149608545997991524L)
+    assert(Trainer.mispredicted(net, keys, labels, enc.encode).length == 323)
+  }
+
+  test("DeepSqueezeLite's reconstruction is pinned") {
+    val keys = Array.tabulate(2000)(i => i.toLong + 1)
+    val cols = Array(keys.map(k => ((k - 1) % 3).toInt), keys.map(k => (((k - 1) / 3) % 4).toInt))
+    val ds = DeepSqueezeLite.build(KvData(keys, cols), Array(3, 4), poolBudget = 1 << 26)
+    var sum = 17L
+    ds.lookup(keys).foreach(_.foreach(v => sum = sum * 31 + v))
+    assert(sum == 1731877639052037137L)
+    assert(ds.storageBytes == 4335)
   }
 }
