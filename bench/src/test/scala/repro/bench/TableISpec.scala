@@ -55,7 +55,7 @@ class TableISpec extends SparkSpec {
     // inference; on a CPU substrate the reproducible regime is
     // B ≪ rows, where baselines still pay a full decompress+deserialize
     // pass over the evicted partitions (EXPERIMENTS.md ⚠ notes).
-    val b = TableI.Batches.min
+    val b = TableI.Batches.min.toString
     results.foreach { w =>
       assert(w.latencyOf("DM-Z", b) < w.latencyOf("HBC-Z", b) * 1.2,
         s"${w.workload}: DM-Z ${w.latencyOf("DM-Z", b)}ms vs HBC-Z ${w.latencyOf("HBC-Z", b)}ms")

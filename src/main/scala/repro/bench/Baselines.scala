@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.baseline.DeepSqueezeLite
 import repro.compress.BlockCodec
 import repro.store.{ArrayStore, HashStore, KeyValueStore, KvData}
 
@@ -25,14 +24,4 @@ object Baselines {
     HashStore.build(s"$tag-hbcz", data, BlockCodec.Zstd(3), HashPartBytes, poolBudget),
     HashStore.build(s"$tag-hbcl", data, BlockCodec.Lzma(6), HashPartBytes, poolBudget),
   )
-
-  /** The lossy DeepSqueeze-lite baseline. */
-  def deepSqueeze(data: KvData, cards: Array[Int], poolBudget: Long): DeepSqueezeLite =
-    DeepSqueezeLite.build(data, cards, poolBudget)
-
-  /** Latency cell for DS: the paper reports "failed" when DS exceeds the
-    * memory pool; our DS throws OutOfMemoryBudget in that case. */
-  def dsLatencyCell(ds: DeepSqueezeLite, existing: Array[Long], b: Int, seed: Long): String =
-    try TableHarness.fmt(TableHarness.lookupLatencyMs(ds, existing, b, seed))
-    catch { case _: DeepSqueezeLite.OutOfMemoryBudget => "failed" }
 }

@@ -2,12 +2,14 @@ package repro.bench
 
 import org.apache.spark.sql.DataFrame
 
+import repro.baseline.DeepSqueezeLite
 import repro.compress.BlockCodec
-import repro.core.{DeepMapping, DmConfig, Encoding, ValueDicts}
+import repro.core.{AuxTable, DeepMapping, DmConfig, DmStorage, Encoding, ValueDicts}
 import repro.nn.Trainer
 import repro.store.{BufferPool, KeyValueStore, KvData}
 
-/** Shared measurement utilities for the Table I–V benchmark drivers.
+/** Shared measurement utilities for the Table I–V benchmark drivers, and
+  * the one Table I/II driver ([[runWorkload]]).
   *
   * Conventions mirror the paper's §V-B: each latency number is the mean
   * of `Reps` runs of a batch of B random existing-key lookups; storage is
@@ -49,6 +51,58 @@ object TableHarness {
     total / Reps
   }
 
+  /** Latency cell: the mean batch latency, or the paper's "failed" when
+    * DS's full decode exceeds the pool (it throws OutOfMemoryBudget). */
+  def latencyCell(store: KeyValueStore, existing: Array[Long], b: Int, seed: Long): String =
+    try fmt(lookupLatencyMs(store, existing, b, seed))
+    catch { case _: DeepSqueezeLite.OutOfMemoryBudget => "failed" }
+
+  /** One measuring condition of Tables I/II: a pool budget and a batch
+    * size B, reported under `label`. */
+  final case class Condition(label: String, budget: Long, b: Int)
+
+  final case class MethodResult(method: String, storageMB: Double, latencyMs: Map[String, String])
+  final case class WorkloadResult(workload: String, rawMB: Double, dmAccuracy: Double, dmBreakdown: DmStorage,
+                                  dsErrorRate: Double, methods: Seq[MethodResult]) {
+    def storageOf(m: String): Double = methods.find(_.method == m).get.storageMB
+    def latencyOf(m: String, label: String): Double = methods.find(_.method == m).get.latencyMs(label).toDouble
+  }
+
+  /** Tables I/II: build the lossless baselines, DS, DM-Z and DM-L once,
+    * then measure each store under every condition by resizing its pool.
+    * Each store starts from an empty pool; a condition with a new budget
+    * empties it again, one with the previous condition's budget keeps it.
+    * DS's error rate is probed at an unbounded budget. */
+  def runWorkload(ds: Dataset, conditions: Seq[Condition], seed: Long): WorkloadResult = {
+    val data = ds.data
+    val existing = data.keys
+    val budget = conditions.head.budget
+    val dmZ = buildDmZ(data, ds.dicts, budget)
+    val dmL = deriveDm(dmZ, BlockCodec.Lzma(6), 128 * 1024, budget) // model and f_decode shared
+    val dsq = DeepSqueezeLite.build(data, ds.cards, budget)
+    val stores = Baselines.lossless(ds.name.replaceAll("\\W", ""), data, budget) ++ Seq(dsq, dmZ, dmL)
+    val methods = stores.map { s =>
+      s.pool.clear()
+      MethodResult(s.name, mb(s.storageBytes), conditions.map { c =>
+        s.pool.resize(c.budget)
+        c.label -> latencyCell(s, existing, c.b, seed)
+      }.toMap)
+    }
+    // DS lossiness: fraction of sampled rows DS reconstructs wrongly.
+    dsq.pool.resize(Long.MaxValue)
+    val sampleKeys = randomKeys(existing, 2000, seed)
+    val byKey = existing.zipWithIndex.toMap
+    val got = dsq.lookup(sampleKeys)
+    val wrong = sampleKeys.indices.count { i =>
+      val row = byKey(sampleKeys(i))
+      got(i) == null || (0 until data.nCols).exists(c => got(i)(c) != data.cols(c)(row))
+    }
+    val result = WorkloadResult(ds.name, mb(data.rawBytes), dmZ.modelAccuracy(data), dmZ.storage,
+      wrong.toDouble / sampleKeys.length, methods)
+    stores.foreach(_.close())
+    result
+  }
+
   def mb(bytes: Long): Double = bytes / 1e6
   def fmt(d: Double): String = if (d >= 100) f"$d%.0f" else if (d >= 10) f"$d%.1f" else f"$d%.2f"
 
@@ -64,6 +118,20 @@ object TableHarness {
     sb.toString
   }
 
+  /** Render Tables I/II: per workload, the storage row, one latency row
+    * per `(row name, condition label)`, and the DM and DS notes. */
+  def render(heading: String, results: Seq[WorkloadResult], latencyRows: Seq[(String, String)]): String =
+    results.map { w =>
+      renderTable(w.workload, w.methods.map(_.method),
+        (s"Storage size (MB) [raw=${fmt(w.rawMB)}]", w.methods.map(m => fmt(m.storageMB))) +:
+          latencyRows.map { case (row, label) => (row, w.methods.map(_.latencyMs(label))) }) +
+        f"Model memorised ${w.dmAccuracy * 100}%.1f%% of tuples; " +
+        f"DM breakdown (KB): model=${w.dmBreakdown.modelBytes / 1e3}%.1f " +
+        f"aux=${w.dmBreakdown.auxBytes / 1e3}%.1f exist=${w.dmBreakdown.existBytes / 1e3}%.1f " +
+        f"decode=${w.dmBreakdown.decodeBytes / 1e3}%.1f; " +
+        f"DS (lossy) reconstructs ${w.dsErrorRate * 100}%.1f%% of sampled rows wrongly\n"
+    }.mkString(s"\n$heading\n", "", "")
+
   /** DM training config used across benches (scaled-down §V-A.6).
     * Smaller batches than the paper's 16384: at our row counts the
     * memorisation quality is gated by optimizer steps, not throughput. */
@@ -78,12 +146,13 @@ object TableHarness {
       DmConfig(codec = BlockCodec.Zstd(3), partitionBytes = 512 * 1024,
         poolBudget = poolBudget, train = dmTrain(data.rows)))
 
-  /** Cheap DM variant sharing the trained model/V_exist/f_decode but with
-    * T_aux re-packed under a different codec / partition size / pool. */
+  /** Cheap DM variant sharing the trained model and f_decode, with T_aux
+    * re-packed under a different codec / partition size / pool, and its own
+    * copy of V_exist, so each DM answers only its own modifications. */
   def deriveDm(dm: DeepMapping, codec: BlockCodec, partBytes: Int, poolBudget: Long): DeepMapping = {
     val (auxKeys, auxCols) = dm.aux.entries()
-    val aux = repro.core.AuxTable.build(auxKeys, auxCols, codec, partBytes, new BufferPool(poolBudget))
-    new DeepMapping(dm.model, dm.enc, dm.dicts, aux, dm.exist,
-      DmConfig(codec = codec, partitionBytes = partBytes, poolBudget = poolBudget, train = dm.cfg.train))
+    val aux = AuxTable.build(auxKeys, auxCols, codec, partBytes, new BufferPool(poolBudget))
+    new DeepMapping(dm.model, dm.enc, dm.dicts, aux, dm.exist.copy,
+      dm.cfg.copy(codec = codec, partitionBytes = partBytes, poolBudget = poolBudget))
   }
 }

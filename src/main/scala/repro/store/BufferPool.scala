@@ -11,7 +11,14 @@ package repro.store
   * Not thread-safe by design: each benchmark drives lookups from one
   * thread per store, as the paper's client does.
   */
-final class BufferPool(val budgetBytes: Long) {
+final class BufferPool(private var budget: Long) {
+
+  def budgetBytes: Long = budget
+
+  /** Set the budget. A new budget empties the pool, so the next access
+    * starts cold, as on a machine with that much memory; the same budget
+    * keeps what the pool holds. */
+  def resize(bytes: Long): Unit = if (bytes != budget) { budget = bytes; clear() }
 
   final class Stats {
     var hits: Long = 0

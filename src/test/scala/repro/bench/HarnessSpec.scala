@@ -2,6 +2,9 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.compress.BlockCodec
+import repro.core.{ColumnDict, DeepMapping, DmConfig, ValueDicts}
+import repro.nn.Trainer
 import repro.store.KvData
 
 /** Benchmark harness helpers: data merging, key sampling, rendering. */
@@ -9,6 +12,14 @@ class HarnessSpec extends AnyFunSuite {
 
   private def kv(keys: Long*): KvData =
     KvData(keys.toArray, Array(keys.map(k => (k % 5).toInt).toArray))
+
+  /** Two columns over keys `from until until`: one periodic, one a hash. */
+  private val dicts = ValueDicts(Array(ColumnDict("p", Array.tabulate(7)(_.toString)),
+    ColumnDict("h", Array.tabulate(11)(_.toString))))
+  private def rows(from: Long, until: Long): KvData = {
+    val keys = Array.range(from.toInt, until.toInt).map(_.toLong)
+    KvData(keys, Array(keys.map(k => (k % 7).toInt), keys.map(k => ((k * 2654435761L >>> 7) % 11).toInt)))
+  }
 
   test("TableMod.concat merges keys and columns") {
     val c = TableMod.concat(kv(1, 2), kv(10, 11, 12))
@@ -78,5 +89,25 @@ class HarnessSpec extends AnyFunSuite {
     val ms = TableHarness.lookupLatencyMs(store, Array(1L, 2L), b = 5, seed = 1)
     assert(calls == TableHarness.Reps)
     assert(ms >= 0)
+  }
+
+  test("deriveDm owns its V_exist: a key deleted from the source still answers in the derived DM") {
+    val data = rows(0, 500)
+    val dm = DeepMapping.build(data, dicts, DmConfig(partitionBytes = 1024, poolBudget = 1 << 20,
+      train = Trainer.Config(epochs = 2, batchSize = 256)))
+    val derived = TableHarness.deriveDm(dm, BlockCodec.Lzma(6), 2048, 1 << 20)
+    dm.delete(Array(42L))
+    assert(dm.lookup(Array(42L))(0) == null)
+    val got = derived.lookup(Array(42L))(0)
+    assert(got != null && got.toSeq == data.row(42).toSeq, "the derived DM lost key 42")
+    dm.close(); derived.close()
+  }
+
+  test("TableMod.runWorkload runs every insert step, and DM-Z1 has cells from 20 % on") {
+    val chunks = (0 until TableMod.StepCount).map(i => rows(2001 + i * 200, 2201 + i * 200))
+    val r = TableMod.runWorkload("insert", rows(1, 2001), dicts, chunks, Nil, seed = 3)
+    assert(r.steps.map(_.pct) == (0 to 60 by 10))
+    r.steps.foreach(s => assert(s.cells("DM-Z1").isDefined == (s.pct >= 20), s"step ${s.pct}"))
+    assert(r.steps.forall(_.cells("DM-Z").isDefined))
   }
 }

@@ -70,4 +70,25 @@ class BufferPoolSpec extends AnyFunSuite {
     (1 to 3).foreach(_ => pool.get("k") { loads += 1; ("v", 10L) })
     assert(loads == 3)
   }
+
+  test("resize to a new budget empties the pool and enforces that budget") {
+    val pool = new BufferPool(1000)
+    pool.get("a")(("a", 100L))
+    pool.resize(150)
+    assert(pool.budgetBytes == 150 && pool.usedBytes == 0)
+    var loads = 0
+    pool.get("a") { loads += 1; ("a", 100L) }
+    assert(loads == 1, "a new budget starts cold")
+    pool.get("b")(("b", 100L)) // 200 > 150: evicts a
+    assert(pool.usedBytes == 100 && pool.stats.evictions == 1)
+  }
+
+  test("resize to the same budget keeps the entries") {
+    val pool = new BufferPool(1000)
+    pool.get("a")(("a", 100L))
+    pool.resize(1000)
+    var loads = 0
+    pool.get("a") { loads += 1; ("a", 100L) }
+    assert(loads == 0 && pool.usedBytes == 100)
+  }
 }
