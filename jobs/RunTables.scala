@@ -4,55 +4,30 @@ import org.apache.spark.sql.SparkSession
 
 import repro.bench.{TableI, TableII, TableMod}
 
-/** spark-submit entrypoints, one per evaluation table. Optional first
-  * argument scales dataset row counts (default 1.0), e.g.
-  * `spark-submit --class repro.jobs.RunTableI repro.jar 0.5`. */
-object Jobs {
-  def session(app: String): SparkSession =
-    SparkSession.builder
+/** spark-submit entrypoint for one evaluation table: prints `table`'s
+  * markdown. Optional first argument scales dataset row counts (default
+  * 1.0), e.g. `spark-submit --class repro.jobs.RunTableI repro.jar 0.5`. */
+abstract class TableJob(app: String, table: (SparkSession, Double) => String) {
+  def main(args: Array[String]): Unit = {
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", "64")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-
-  def scaleOf(args: Array[String]): Double = args.headOption.map(_.toDouble).getOrElse(1.0)
-}
-
-object RunTableI {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("repro-table1")
-    try println(TableI.render(TableI.run(spark, Jobs.scaleOf(args)))) finally spark.stop()
+    try println(table(spark, args.headOption.map(_.toDouble).getOrElse(1.0))) finally spark.stop()
   }
 }
 
-object RunTableII {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("repro-table2")
-    try println(TableII.render(TableII.run(spark, Jobs.scaleOf(args)))) finally spark.stop()
-  }
-}
+object RunTableI extends TableJob("repro-table1", (spark, scale) => TableI.render(TableI.run(spark, scale)))
 
-object RunTableIII {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("repro-table3")
-    try println(TableMod.render("Table III — insertions following the original distribution",
-      TableMod.runInsert(spark, crossDist = false, Jobs.scaleOf(args)))) finally spark.stop()
-  }
-}
+object RunTableII extends TableJob("repro-table2", (spark, scale) => TableII.render(TableII.run(spark, scale)))
 
-object RunTableIV {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("repro-table4")
-    try println(TableMod.render("Table IV — insertions NOT following the original distribution",
-      TableMod.runInsert(spark, crossDist = true, Jobs.scaleOf(args)))) finally spark.stop()
-  }
-}
+object RunTableIII extends TableJob("repro-table3", (spark, scale) => TableMod.render(
+  "Table III — insertions following the original distribution", TableMod.runInsert(spark, crossDist = false, scale)))
 
-object RunTableV {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("repro-table5")
-    try println(TableMod.render("Table V — deletions",
-      TableMod.runDelete(spark, Jobs.scaleOf(args)))) finally spark.stop()
-  }
-}
+object RunTableIV extends TableJob("repro-table4", (spark, scale) => TableMod.render(
+  "Table IV — insertions NOT following the original distribution", TableMod.runInsert(spark, crossDist = true, scale)))
+
+object RunTableV extends TableJob("repro-table5", (spark, scale) =>
+  TableMod.render("Table V — deletions", TableMod.runDelete(spark, scale)))

@@ -23,7 +23,6 @@ object TableHarness {
   final case class Dataset(name: String, df: DataFrame, keyCol: String, valueCols: Seq[String]) {
     lazy val dicts: ValueDicts = Encoding.buildDicts(df, valueCols)
     lazy val data: KvData = Encoding.toKvData(df, keyCol, valueCols, dicts)
-    def cards: Array[Int] = dicts.cols.map(_.size)
   }
 
   def timeMs[T](f: => T): (T, Double) = {
@@ -57,6 +56,14 @@ object TableHarness {
     try fmt(lookupLatencyMs(store, existing, b, seed))
     catch { case _: DeepSqueezeLite.OutOfMemoryBudget => "failed" }
 
+  /** Share of the raw dataset that the memory-constrained machine of
+    * Tables I and III–V holds in its pool (DESIGN.md §5). */
+  val ConstrainedShare = 0.35
+
+  /** Pool budget of a machine whose memory holds `share` of the raw
+    * dataset; `share` < 1 is the paper's "dataset exceeds memory". */
+  def poolBudget(data: KvData, share: Double): Long = (data.rawBytes * share).toLong
+
   /** One measuring condition of Tables I/II: a pool budget and a batch
     * size B, reported under `label`. */
   final case class Condition(label: String, budget: Long, b: Int)
@@ -79,7 +86,7 @@ object TableHarness {
     val budget = conditions.head.budget
     val dmZ = buildDmZ(data, ds.dicts, budget)
     val dmL = deriveDm(dmZ, BlockCodec.Lzma(6), 128 * 1024, budget) // model and f_decode shared
-    val dsq = DeepSqueezeLite.build(data, ds.cards, budget)
+    val dsq = DeepSqueezeLite.build(data, ds.dicts.cols.map(_.size), budget)
     val stores = Baselines.lossless(ds.name.replaceAll("\\W", ""), data, budget) ++ Seq(dsq, dmZ, dmL)
     val methods = stores.map { s =>
       s.pool.clear()

@@ -21,7 +21,7 @@ object TableII {
   val B = 50000
 
   def conditions(data: KvData): Seq[TableHarness.Condition] = Machines.map { m =>
-    TableHarness.Condition(m.name, math.max(1L << 20, (data.rawBytes * m.budgetFactor).toLong), B)
+    TableHarness.Condition(m.name, TableHarness.poolBudget(data, m.budgetFactor), B)
   }
 
   def datasets(spark: SparkSession, scale: Double): Seq[TableHarness.Dataset] = Seq(
@@ -40,10 +40,7 @@ object TableII {
   )
 
   def run(spark: SparkSession, scale: Double = 1.0, seed: Long = 88): Seq[TableHarness.WorkloadResult] =
-    datasets(spark, scale).map(runWorkload(_, seed))
-
-  def runWorkload(ds: TableHarness.Dataset, seed: Long): TableHarness.WorkloadResult =
-    TableHarness.runWorkload(ds, conditions(ds.data), seed)
+    datasets(spark, scale).map(ds => TableHarness.runWorkload(ds, conditions(ds.data), seed))
 
   def render(results: Seq[TableHarness.WorkloadResult]): String =
     TableHarness.render(s"## Table II — storage + latency (B=$B), dataset fits memory pool; machines = pool budgets",

@@ -1,16 +1,16 @@
 package repro.bench
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 
 import repro.compress.BlockCodec
-import repro.core.{DeepMapping, Encoding}
+import repro.core.{Encoding, ValueDicts}
 import repro.data.SynthCorr
-import repro.store.{ArrayStore, HashStore, KeyValueStore, KvData}
+import repro.store.{KeyValueStore, KvData}
 
 /** Papers Tables III/IV (insertions following / not following the data
   * distribution) and Table V (deletions) — compressed storage size and
   * query latency after modifying 10 %..60 % of a multi-column synthetic
-  * dataset, on the memory-constrained machine.
+  * dataset, on the memory-constrained machine of Table I.
   *
   * DM-Z materialises modifications in T_aux without retraining (§IV-D);
   * DM-Z1 additionally retrains once when 20 % of the data has been
@@ -22,6 +22,8 @@ object TableMod {
 
   val StepCount = 6
   val B = 20000
+  val BaselineMethods: Seq[String] = Seq("AB", "ABC-Z", "HB", "HBC-Z")
+  val Methods: Seq[String] = Seq("DM-Z", "DM-Z1") ++ BaselineMethods
 
   final case class Cell(storageMB: Double, queryMs: Double)
   final case class Step(pct: Int, cells: Map[String, Option[Cell]])
@@ -39,35 +41,25 @@ object TableMod {
     KvData(keep.map(a.keys), Array.tabulate(a.nCols)(c => keep.map(a.cols(c))))
   }
 
-  private def baselineSet(tag: String, data: KvData, budget: Long): Seq[KeyValueStore] = Seq(
-    ArrayStore.build(s"$tag-ab", data, BlockCodec.Noop, Baselines.ArrayPartBytes, budget),
-    ArrayStore.build(s"$tag-abcz", data, BlockCodec.Zstd(3), Baselines.ArrayPartBytes, budget),
-    HashStore.build(s"$tag-hb", data, BlockCodec.Noop, Baselines.HashPartBytes, budget),
-    HashStore.build(s"$tag-hbcz", data, BlockCodec.Zstd(3), Baselines.HashPartBytes, budget),
-  )
+  /** Pool budget of the memory-constrained machine, for base data `base`. */
+  def budget(base: KvData): Long = TableHarness.poolBudget(base, TableHarness.ConstrainedShare)
 
   /** One modification experiment over one workload.
     * `chunks(i)` is the i-th 10 % modification batch (insert data or
     * delete keys). */
-  def runWorkload(workload: String, base: KvData, dicts: repro.core.ValueDicts,
+  def runWorkload(workload: String, base: KvData, dicts: ValueDicts,
                   insertChunks: Seq[KvData], deleteChunks: Seq[Array[Long]],
                   seed: Long): Result = {
     import TableHarness._
     require(insertChunks.isEmpty != deleteChunks.isEmpty, "exactly one modification kind")
-    val isInsert = insertChunks.nonEmpty
-    val budget = math.max(1L << 20, (base.rawBytes * 0.35).toLong)
-
-    val dmZ = DeepMapping.build(base, dicts,
-      repro.core.DmConfig(codec = BlockCodec.Zstd(3), partitionBytes = 512 * 1024,
-        poolBudget = budget, train = dmTrain(base.rows)))
-    val dmZ1 = deriveDm(dmZ, BlockCodec.Zstd(3), 512 * 1024, budget)
+    val pool = budget(base)
+    val dmZ = buildDmZ(base, dicts, pool)
+    val dmZ1 = deriveDm(dmZ, BlockCodec.Zstd(3), 512 * 1024, pool)
 
     var current = base
-    val steps = scala.collection.mutable.ArrayBuffer.empty[Step]
-    var i = 0
-    while (i <= StepCount) {
+    val steps = (0 to StepCount).map { i =>
       if (i > 0) {
-        if (isInsert) {
+        if (insertChunks.nonEmpty) {
           val chunk = insertChunks(i - 1)
           dmZ.insert(chunk); dmZ1.insert(chunk)
           current = concat(current, chunk)
@@ -79,83 +71,58 @@ object TableMod {
         dmZ.aux.repack(); dmZ1.aux.repack()
         if (i == 2) dmZ1.retrain(current) // scaled 200MB-of-1GB trigger
       }
-      val existing = current.keys
-      def dmCell(dm: DeepMapping): Cell =
-        Cell(mb(dm.storageBytes), lookupLatencyMs(dm, existing, B, seed + i))
-      val bl = baselineSet(s"${workload.replaceAll("\\W", "")}$i", current, budget)
-      val blCells = bl.map(s => s.name -> Some(Cell(mb(s.storageBytes), lookupLatencyMs(s, existing, B, seed + i))))
-      bl.foreach(_.close())
-      val cells = Map(
-        "DM-Z" -> Some(dmCell(dmZ)),
-        "DM-Z1" -> (if (i >= 2) Some(dmCell(dmZ1)) else None),
-      ) ++ blCells.toMap
-      steps += Step(i * 10, cells)
-      i += 1
+      def cell(s: KeyValueStore): Cell = Cell(mb(s.storageBytes), lookupLatencyMs(s, current.keys, B, seed + i))
+      val baselines = Baselines.lossless(s"${workload.replaceAll("\\W", "")}$i", current, pool, BaselineMethods)
+      val cells = Map("DM-Z" -> Some(cell(dmZ)), "DM-Z1" -> Option.when(i >= 2)(cell(dmZ1))) ++
+        baselines.map(s => s.name -> Some(cell(s)))
+      baselines.foreach(_.close())
+      Step(i * 10, cells)
     }
     dmZ.close(); dmZ1.close()
-    Result(workload, steps.toSeq)
+    Result(workload, steps)
   }
 
   /** Tables III / IV: insertions, in- or cross-distribution. */
-  def runInsert(spark: SparkSession, crossDist: Boolean, scale: Double = 1.0, seed: Long = 99): Seq[Result] = {
-    val rows = (120_000 * scale).toLong
-    val chunk = rows / 10
-    def chunks(genLow: Boolean): Seq[DataFrame] = (0 until StepCount).map { i =>
-      val start = rows + 1 + i * chunk
-      if (genLow) SynthCorr.multiLow(spark, chunk, start, seed = 131 + i)
-      else SynthCorr.multiHigh(spark, chunk, start, seed = 131 + i)
-    }
-    Seq(("Multi-column Low Correlation", true), ("Multi-column High Correlation", false)).map {
-      case (name, baseIsLow) =>
-        val baseDf = if (baseIsLow) SynthCorr.multiLow(spark, rows) else SynthCorr.multiHigh(spark, rows)
-        val insLow = if (crossDist) !baseIsLow else baseIsLow
-        val insDfs = chunks(insLow)
-        // One dictionary across base + all inserts (shared value domains).
-        val union = insDfs.foldLeft(baseDf)(_ union _)
-        val valueCols = baseDf.columns.filter(_ != "k").toSeq
-        val dicts = Encoding.buildDicts(union, valueCols)
-        val base = Encoding.toKvData(baseDf, "k", valueCols, dicts)
-        val ins = insDfs.map(df => Encoding.toKvData(df, "k", valueCols, dicts))
-        runWorkload(name, base, dicts, ins, Nil, seed)
-    }
-  }
+  def runInsert(spark: SparkSession, crossDist: Boolean, scale: Double = 1.0, seed: Long = 99): Seq[Result] =
+    run(spark, Some(crossDist), scale, seed)
 
   /** Table V: deletions of 10 %..60 % of the base data. */
-  def runDelete(spark: SparkSession, scale: Double = 1.0, seed: Long = 111): Seq[Result] = {
+  def runDelete(spark: SparkSession, scale: Double = 1.0, seed: Long = 111): Seq[Result] =
+    run(spark, None, scale, seed)
+
+  /** The low- and high-correlation workloads: 10 % insert chunks, drawn
+    * from the other generator when `crossDist` is Some(true), or disjoint
+    * random 10 % delete chunks when it is None. */
+  private def run(spark: SparkSession, crossDist: Option[Boolean], scale: Double, seed: Long): Seq[Result] = {
     val rows = (120_000 * scale).toLong
+    val chunk = rows / 10
     Seq(("Multi-column Low Correlation", true), ("Multi-column High Correlation", false)).map {
       case (name, baseIsLow) =>
         val baseDf = if (baseIsLow) SynthCorr.multiLow(spark, rows) else SynthCorr.multiHigh(spark, rows)
+        val insDfs = for (cross <- crossDist.toSeq; i <- 0 until StepCount) yield {
+          val gen = if (cross != baseIsLow) SynthCorr.multiLow _ else SynthCorr.multiHigh _
+          gen(spark, chunk, rows + 1 + i * chunk, 131 + i)
+        }
+        // One dictionary across base + all inserts (shared value domains).
         val valueCols = baseDf.columns.filter(_ != "k").toSeq
-        val dicts = Encoding.buildDicts(baseDf, valueCols)
+        val dicts = Encoding.buildDicts(insDfs.foldLeft(baseDf)(_ union _), valueCols)
         val base = Encoding.toKvData(baseDf, "k", valueCols, dicts)
-        // Disjoint random 10% key chunks.
-        val rng = new java.util.Random(seed)
-        val shuffled = base.keys.clone()
-        var i = shuffled.length - 1
-        while (i > 0) { val j = rng.nextInt(i + 1); val t = shuffled(i); shuffled(i) = shuffled(j); shuffled(j) = t; i -= 1 }
-        val chunk = base.rows / 10
-        val deleteChunks = (0 until StepCount).map(c => shuffled.slice(c * chunk, (c + 1) * chunk))
-        runWorkload(name, base, dicts, Nil, deleteChunks, seed)
+        val ins = insDfs.map(df => Encoding.toKvData(df, "k", valueCols, dicts))
+        val dels = if (crossDist.isDefined) Nil else {
+          val keys = java.util.Arrays.asList(base.keys.map(Long.box): _*)
+          java.util.Collections.shuffle(keys, new java.util.Random(seed))
+          keys.toArray(Array.empty[java.lang.Long]).map(_.longValue).grouped(base.rows / 10).take(StepCount).toSeq
+        }
+        runWorkload(name, base, dicts, ins, dels, seed)
     }
   }
 
-  def render(title: String, results: Seq[Result]): String = {
-    val sb = new StringBuilder
-    sb.append(s"\n## $title\n")
-    results.foreach { r =>
-      val pcts = r.steps.map(_.pct)
-      sb.append(s"\n### ${r.workload} (modification size as % of base)\n\n")
-      sb.append("| Method / Metric | " + pcts.map(p => s"$p%").mkString(" | ") + " |\n")
-      sb.append("|---" * (pcts.length + 1) + "|\n")
-      val methods = Seq("DM-Z", "DM-Z1", "AB", "ABC-Z", "HB", "HBC-Z")
-      methods.foreach { m =>
-        val st = r.steps.map(_.cells(m).map(c => TableHarness.fmt(c.storageMB)).getOrElse("-"))
-        val qu = r.steps.map(_.cells(m).map(c => TableHarness.fmt(c.queryMs)).getOrElse("-"))
-        sb.append(s"| $m-Storage (MB) | " + st.mkString(" | ") + " |\n")
-        sb.append(s"| $m-Query (ms) | " + qu.mkString(" | ") + " |\n")
-      }
-    }
-    sb.toString
-  }
+  def render(title: String, results: Seq[Result]): String =
+    results.map { r =>
+      TableHarness.renderTable(s"${r.workload} (modification size as % of base)", r.steps.map(s => s"${s.pct}%"),
+        Methods.flatMap { m =>
+          def row(f: Cell => Double) = r.steps.map(_.cells(m).map(c => TableHarness.fmt(f(c))).getOrElse("-"))
+          Seq((s"$m-Storage (MB)", row(_.storageMB)), (s"$m-Query (ms)", row(_.queryMs)))
+        })
+    }.mkString(s"\n## $title\n", "", "")
 }

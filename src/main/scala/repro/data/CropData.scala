@@ -39,14 +39,12 @@ object CropData {
       rand(seed + 1).as("noise"),
       (rand(seed + 2) * k).cast(IntegerType).as("rndType"),
     )
-    val withScores = base.select((col("id") +: col("x") +: col("y") +: col("noise") +: col("rndType") +: scoreCols): _*)
-    // argmax over the k score columns via greatest + chained when.
-    val best = (0 until k).map(c => struct(col(s"s$c").as("s"), lit(c).as("i")))
-      .reduce((a, b) => when(a.getField("s") >= b.getField("s"), a).otherwise(b))
+    val withScores = base.select(col("id"), col("noise"), col("rndType"), array(scoreCols: _*).as("scores"))
+    // argmax over the k scores: the 1-based position of the first maximum.
+    val best = array_position(col("scores"), array_max(col("scores"))).cast(IntegerType)
     withScores.select(
       col("id").as("crop_key"),
-      when(col("noise") < 0.02, element_at(array(CropTypes.map(lit): _*), col("rndType") + 1))
-        .otherwise(element_at(array(CropTypes.map(lit): _*), best.getField("i") + 1))
+      element_at(array(CropTypes.map(lit): _*), when(col("noise") < 0.02, col("rndType") + 1).otherwise(best))
         .as("crop_type"),
     )
   }

@@ -14,9 +14,6 @@ import org.apache.spark.sql.types._
   */
 object SynthCorr {
 
-  private def pick(col: org.apache.spark.sql.Column, values: String*): org.apache.spark.sql.Column =
-    element_at(array(values.map(lit): _*), (pmod(col, lit(values.length)) + 1).cast("int"))
-
   /** <OrderKey, OrderStatus>-style: one uniformly random 3-ary column. */
   def singleLow(spark: SparkSession, rows: Long, startKey: Long = 1, seed: Long = 30): DataFrame =
     spark.range(startKey, startKey + rows).toDF("k").select(

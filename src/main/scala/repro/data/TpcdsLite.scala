@@ -15,9 +15,6 @@ import org.apache.spark.sql.types._
   */
 object TpcdsLite {
 
-  private def pick(col: org.apache.spark.sql.Column, values: String*): org.apache.spark.sql.Column =
-    element_at(array(values.map(lit): _*), (pmod(col, lit(values.length)) + 1).cast("int"))
-
   private val genders = Seq("M", "F")
   private val marital = Seq("M", "S", "D", "W", "U")
   private val education = Seq("Primary", "Secondary", "College", "2 yr Degree", "4 yr Degree", "Advanced Degree", "Unknown")

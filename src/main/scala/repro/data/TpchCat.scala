@@ -16,9 +16,6 @@ import org.apache.spark.sql.types._
   */
 object TpchCat {
 
-  private def pick(col: org.apache.spark.sql.Column, values: String*): org.apache.spark.sql.Column =
-    element_at(array(values.map(lit): _*), (pmod(col, lit(values.length)) + 1).cast("int"))
-
   /** Lineitem-cat: key = insertion rowid; 4 categorical columns.
     * ~70 % of rows follow the date rules exactly (cf. the paper's models
     * memorising 66–68 % of TPC-H tuples). */

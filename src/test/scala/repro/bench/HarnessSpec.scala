@@ -107,7 +107,32 @@ class HarnessSpec extends AnyFunSuite {
     val chunks = (0 until TableMod.StepCount).map(i => rows(2001 + i * 200, 2201 + i * 200))
     val r = TableMod.runWorkload("insert", rows(1, 2001), dicts, chunks, Nil, seed = 3)
     assert(r.steps.map(_.pct) == (0 to 60 by 10))
-    r.steps.foreach(s => assert(s.cells("DM-Z1").isDefined == (s.pct >= 20), s"step ${s.pct}"))
+    r.steps.foreach { s =>
+      assert(s.cells.keySet == Set("DM-Z", "DM-Z1", "AB", "ABC-Z", "HB", "HBC-Z"), s"step ${s.pct}")
+      assert(s.cells("DM-Z1").isDefined == (s.pct >= 20), s"step ${s.pct}")
+    }
     assert(r.steps.forall(_.cells("DM-Z").isDefined))
+    // Storage does not depend on the pool budget, so these cells are fixed
+    // by the data, the seeds and the builders alone.
+    val storage = Map(
+      "DM-Z" -> Seq(0.043178, 0.044143, 0.045061, 0.046088, 0.046933, 0.047941, 0.048771),
+      "DM-Z1" -> Seq(0.044783, 0.045918, 0.046918, 0.047727, 0.048785), // from 20 %
+      "AB" -> Seq(0.032024, 0.035224, 0.038424, 0.041624, 0.044824, 0.048024, 0.051224),
+      "ABC-Z" -> Seq(0.004068, 0.004491, 0.004927, 0.005371, 0.005798, 0.006264, 0.006678),
+      "HB" -> Seq(0.064167, 0.070567, 0.076967, 0.083367, 0.089767, 0.096167, 0.102567),
+      "HBC-Z" -> Seq(0.004132, 0.004529, 0.004924, 0.0053, 0.005649, 0.006042, 0.006438))
+    storage.foreach { case (m, want) =>
+      assert(r.steps.flatMap(_.cells(m)).map(_.storageMB) == want, m)
+    }
+  }
+
+  test("Table I and Tables III–V pools are smaller than their data at BENCH_SCALE=0.25") {
+    // Table I's single-column (62,500 × 1) and lineitem (75,000 × 4)
+    // shapes, and the 30,000 × 4 base of Tables III–V.
+    Seq((62_500, 1), (75_000, 4), (30_000, 4)).foreach { case (n, m) =>
+      val d = KvData(Array.tabulate(n)(_.toLong), Array.fill(m)(new Array[Int](n)))
+      TableI.conditions(d).foreach(c => assert(c.budget < d.rawBytes, s"Table I, $n × $m"))
+      assert(TableMod.budget(d) < d.rawBytes, s"Tables III–V, $n × $m")
+    }
   }
 }

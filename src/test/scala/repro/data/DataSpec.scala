@@ -133,6 +133,12 @@ class DataSpec extends SparkSpec {
     assert(same.toDouble / total > 0.85, s"spatial autocorrelation only ${same.toDouble / total}")
   }
 
+  test("CropData: the raster is pinned, ties going to the first crop type") {
+    val types = CropData.crops(spark, 100, 40).orderBy("crop_key").collect().map(_.getString(1)).toSeq
+    assert(types.size == 4000)
+    assert(scala.util.hashing.MurmurHash3.orderedHash(types) == 1231692700)
+  }
+
   test("CropData: rejects non-power-of-ten width") {
     intercept[IllegalArgumentException](CropData.crops(spark, width = 123, height = 10))
   }
