@@ -11,6 +11,7 @@ import repro.nn.{LstmCell, Mat, StepCache}
   * through the heads and through time with [[LstmCell.backwardStep]].
   */
 final class Controller(val space: SearchSpace, hidden: Int = 64, embDim: Int = 16, seed: Long = 11L) {
+  import Controller.Sample
 
   private val cell = new LstmCell(embDim, hidden, seed)
   /** Per-slot softmax head: hidden -> nChoices (weights + bias). */
@@ -29,10 +30,6 @@ final class Controller(val space: SearchSpace, hidden: Int = 64, embDim: Int = 1
   }
 
   private var adamT = 0
-
-  final case class Sample(decisions: Array[Int], logProb: Double,
-                          caches: Array[StepCache],
-                          probs: Array[Array[Float]])
 
   /** Sample a decision sequence (optionally greedy = argmax). */
   def sample(rng: java.util.Random, greedy: Boolean = false): Sample = {
@@ -72,44 +69,24 @@ final class Controller(val space: SearchSpace, hidden: Int = 64, embDim: Int = 1
   /** One REINFORCE update for `s` with the given advantage. */
   def reinforce(s: Sample, advantage: Double, lr: Float): Unit = {
     adamT += 1
-    val n = space.slotCount
     val adv = advantage.toFloat
     // Backward through time.
     var dh = new Array[Float](hidden)
     var dc = new Array[Float](hidden)
     var dxNext: Array[Float] = null // gradient flowing into the embedding fed at step t+1
-    var t = n - 1
+    var t = space.slotCount - 1
     while (t >= 0) {
-      val k = space.slots(t)._2
       val pr = s.probs(t)
       val choice = s.decisions(t)
       // d(-adv * log p(choice))/dlogits = adv * (softmax - onehot)
-      val dLogits = new Array[Float](k)
-      var j = 0
-      while (j < k) { dLogits(j) = adv * (pr(j) - (if (j == choice) 1f else 0f)); j += 1 }
-      // Head gradients; also dh contribution.
-      val h = s.caches(t).h
-      var p = 0
-      while (p < hidden) {
-        var s2 = 0f
-        j = 0
-        while (j < k) {
-          s2 += headW(t).data(p * k + j) * dLogits(j)
-          headW(t).data(p * k + j) -= lr * h(p) * dLogits(j) // plain SGD on heads
-          j += 1
-        }
-        dh(p) += s2
-        p += 1
-      }
-      j = 0
-      while (j < k) { headB(t)(j) -= lr * dLogits(j); j += 1 }
+      val dLogits = new Mat(1, pr.length, Array.tabulate(pr.length)(j => adv * (pr(j) - (if (j == choice) 1f else 0f))))
+      // dh gains dLogits * headWᵀ, taken before the head's plain SGD step.
+      Mat.axpyInPlace(dh, 0, 1f, Mat.mulTransB(dLogits, headW(t)).data)
+      Mat.axpyInPlace(headW(t).data, 0, -lr, Mat.transAmul(new Mat(1, hidden, s.caches(t).h), dLogits).data)
+      Mat.axpyInPlace(headB(t), 0, -lr, dLogits.data)
       // Embedding of this step's choice receives the gradient that flowed
       // into the *next* step's input.
-      if (dxNext != null) {
-        val row = choice * embDim
-        var e = 0
-        while (e < embDim) { emb(t).data(row + e) -= lr * dxNext(e); e += 1 }
-      }
+      if (dxNext != null) Mat.axpyInPlace(emb(t).data, choice * embDim, -lr, dxNext)
       val (dx, dhPrev, dcPrev) = cell.backwardStep(s.caches(t), dh, dc)
       dxNext = dx
       dh = dhPrev
@@ -118,4 +95,11 @@ final class Controller(val space: SearchSpace, hidden: Int = 64, embDim: Int = 1
     }
     cell.step(lr, adamT)
   }
+}
+
+object Controller {
+  /** One sampled decision sequence, with what REINFORCE needs to update it. */
+  final case class Sample(decisions: Array[Int], logProb: Double,
+                          caches: Array[StepCache],
+                          probs: Array[Array[Float]])
 }

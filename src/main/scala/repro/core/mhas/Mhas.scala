@@ -1,8 +1,8 @@
 package repro.core.mhas
 
-import repro.core.{ExistenceBitmap, KeyEncoder, ValueDicts}
+import repro.core.{DmConfig, ExistenceBitmap, KeyEncoder, ValueDicts}
 import repro.nn.{Dense, MultiTaskNet, NetArch, Trainer}
-import repro.store.KvData
+import repro.store.{KvData, SortedBlocks}
 
 /** Multi-task hybrid architecture search — paper Algorithm 2.
   *
@@ -14,8 +14,8 @@ import repro.store.KvData
   *
   *   (size(M) + size(T_aux) + size(V_exist) + size(f_decode)) / size(D)
   *
-  * where size(T_aux) is estimated from the child's current error rate on
-  * an evaluation sample times the compressed bytes-per-misclassified-row.
+  * where size(T_aux) is estimated by packing the child's misses on an
+  * evaluation sample as T_aux packs them, scaled up to the whole dataset.
   */
 object Mhas {
 
@@ -33,8 +33,6 @@ object Mhas {
       controllerLr: Float = 3.5e-4f, // paper §V-A.6
       /** Rows used for the reward estimate. */
       evalRows: Int = 4096,
-      /** Estimated codec ratio for aux rows (zstd on sorted pairs). */
-      auxCodecRatio: Double = 0.55,
       seed: Long = 21L,
   )
 
@@ -54,12 +52,31 @@ object Mhas {
     }
   }
 
-  /** Eq. 1 estimate for a trained child on an eval sample of `data`;
+  /** Rows per run of the eval sample. */
+  private val EvalRun = 256
+
+  /** About `n` rows of `data` in key order, as runs of [[EvalRun]]
+    * key-consecutive rows at random starts: runs keep the neighbours that
+    * T_aux compresses together, which rows drawn one by one lose. */
+  private[mhas] def evalSample(data: KvData, n: Int, rng: java.util.Random): KvData = {
+    val sorted = data.sortedByKey
+    val run = math.min(EvalRun, data.rows)
+    val starts = if (run == 0) Array.empty[Int]
+                 else Array.fill(math.max(1, math.min(n, data.rows) / run))(rng.nextInt(data.rows - run + 1))
+    val idx = starts.flatMap(s => s until s + run).distinct.sorted
+    KvData(idx.map(sorted.keys(_)), sorted.cols.map(col => idx.map(col(_))))
+  }
+
+  /** Eq. 1 estimate for a trained child on a key-sorted `sample` of `data`.
+    * size(T_aux) is the child's misses on the sample as one T_aux block,
+    * compressed with `build`'s default codec, times rows over sample rows;
     * `existBytes` is V_exist's real size, the same for every child. */
-  private def ratioEstimate(net: MultiTaskNet, data: KvData, enc: KeyEncoder, dicts: ValueDicts,
-                            sample: KvData, existBytes: Long, cfg: Config): Double = {
-    val missRate = Trainer.mispredicted(net, sample.keys, sample.cols, enc.encode).length.toDouble / sample.rows
-    val auxBytes = missRate * data.rows * data.rawRowBytes * cfg.auxCodecRatio
+  private[mhas] def ratioEstimate(net: MultiTaskNet, data: KvData, enc: KeyEncoder, dicts: ValueDicts,
+                                  sample: KvData, existBytes: Long): Double = {
+    val miss = Trainer.mispredicted(net, sample.keys, sample.cols, enc.encode)
+    val block = SortedBlocks.encodeBlock(miss.map(sample.keys(_)), sample.cols.map(col => miss.map(col(_))),
+      0, miss.length, bitPacked = false)
+    val auxBytes = DmConfig().codec.compress(block).length.toDouble * data.rows / sample.rows
     (net.byteSize + auxBytes + existBytes + dicts.byteSize) / data.rawBytes.toDouble
   }
 
@@ -77,8 +94,7 @@ object Mhas {
       bank.getOrElseUpdate((slot, in, out, depth >= 0), new Dense(in, out, depth >= 0, cfg.seed + bank.size))
     }
     val controller = new Controller(cfg.space, seed = cfg.seed)
-    val evalIdx = Array.fill(math.min(cfg.evalRows, data.rows))(rng.nextInt(data.rows))
-    val sample = KvData(evalIdx.map(data.keys(_)), data.cols.map(col => evalIdx.map(col(_))))
+    val sample = evalSample(data, cfg.evalRows, rng)
     val order = Array.tabulate(data.rows)(identity)
     val existBytes = ExistenceBitmap.fromKeys(data.keys).byteSize
 
@@ -109,7 +125,7 @@ object Mhas {
         val s2 = controller.sample(rng)
         val arch2 = cfg.space.decode(s2.decisions)
         val child2 = child(arch2)
-        val ratio = ratioEstimate(child2, data, enc, dicts, sample, existBytes, cfg)
+        val ratio = ratioEstimate(child2, data, enc, dicts, sample, existBytes)
         history += ratio
         if (ratio < bestRatio) { bestRatio = ratio; bestArch = arch2 }
         val reward = -ratio
@@ -122,7 +138,7 @@ object Mhas {
     val greedy = controller.sample(rng, greedy = true)
     val gArch = cfg.space.decode(greedy.decisions)
     val gChild = child(gArch)
-    val gRatio = ratioEstimate(gChild, data, enc, dicts, sample, existBytes, cfg)
+    val gRatio = ratioEstimate(gChild, data, enc, dicts, sample, existBytes)
     if (gRatio < bestRatio) { bestRatio = gRatio; bestArch = gArch }
     Result(bestArch, bestRatio, history.toSeq)
   }

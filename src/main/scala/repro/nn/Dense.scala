@@ -16,7 +16,7 @@ final class Dense(val in: Int, val out: Int, val relu: Boolean, seed: Long) exte
   @transient private var adamW: Adam = _
   @transient private var adamB: Adam = _
 
-  // Pending gradients from the last backward().
+  // Pending gradients, summed over every backward() since the last step().
   @transient private var gW: Mat = _
   @transient private var gB: Array[Float] = _
 
@@ -27,12 +27,14 @@ final class Dense(val in: Int, val out: Int, val relu: Boolean, seed: Long) exte
     if (relu) Mat.reluInPlace(y) else y
   }
 
-  /** Backward for the most recent forward on (x, y=forward(x)).
-    * Stores dW/db internally; returns dX. */
+  /** Backward for a forward on (x, y=forward(x)). Adds dW/db to the
+    * pending gradients (so BPTT can call it once per step before one
+    * step()); returns dX. */
   def backward(x: Mat, y: Mat, dy: Mat): Mat = {
     val g = if (relu) Mat.reluBackwardInPlace(dy, y) else dy
-    gW = Mat.transAmul(x, g)
-    gB = Mat.colSum(g)
+    val (dW, dB) = (Mat.transAmul(x, g), Mat.colSum(g))
+    if (gW == null) { gW = dW; gB = dB }
+    else { Mat.axpyInPlace(gW.data, 0, 1f, dW.data); Mat.axpyInPlace(gB, 0, 1f, dB) }
     Mat.mulTransB(g, w)
   }
 
@@ -40,7 +42,7 @@ final class Dense(val in: Int, val out: Int, val relu: Boolean, seed: Long) exte
   private[repro] def pendingGradW: Mat = gW
   private[repro] def pendingGradB: Array[Float] = gB
 
-  /** Adam update with the gradients accumulated by backward(). */
+  /** Adam update with the pending gradients; clears them. */
   def step(lr: Float, t: Int): Unit = {
     if (gW == null) return
     if (adamW == null) { adamW = new Adam(w.data.length); adamB = new Adam(b.length) }

@@ -121,6 +121,12 @@ object Mat {
     m
   }
 
+  /** In place: `y(off + i) += a * x(i)` for every `i` of `x`. */
+  def axpyInPlace(y: Array[Float], off: Int, a: Float, x: Array[Float]): Unit = {
+    var i = 0
+    while (i < x.length) { y(off + i) += a * x(i); i += 1 }
+  }
+
   /** In place ReLU; returns the same matrix. */
   def reluInPlace(m: Mat): Mat = {
     val d = m.data

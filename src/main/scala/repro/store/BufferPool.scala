@@ -12,6 +12,7 @@ package repro.store
   * thread per store, as the paper's client does.
   */
 final class BufferPool(private var budget: Long) {
+  import BufferPool.Entry
 
   def budgetBytes: Long = budget
 
@@ -29,8 +30,6 @@ final class BufferPool(private var budget: Long) {
     def reset(): Unit = { hits = 0; misses = 0; evictions = 0; loadedBytes = 0; loadNanos = 0 }
   }
   val stats = new Stats
-
-  private final case class Entry(value: AnyRef, charge: Long)
 
   private val map = new java.util.LinkedHashMap[AnyRef, Entry](64, 0.75f, /*accessOrder=*/ true)
   private var used: Long = 0
@@ -59,4 +58,8 @@ final class BufferPool(private var budget: Long) {
 
   def usedBytes: Long = used
   def clear(): Unit = { map.clear(); used = 0 }
+}
+
+object BufferPool {
+  private final case class Entry(value: AnyRef, charge: Long)
 }

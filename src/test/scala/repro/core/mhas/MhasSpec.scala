@@ -122,6 +122,29 @@ class MhasSpec extends AnyFunSuite {
     } finally dm.close()
   }
 
+  test("Eq. 1 estimate is within 25 % of the ratio of the structure build makes with the same net") {
+    // 20K rows x 4 columns: random values, values periodic along the key, and both mixed.
+    val n = 20000
+    val rng = new java.util.Random(17)
+    val keys = Array.tabulate(n)(i => i.toLong + 1)
+    val cards = Array(2, 5, 7, 20)
+    val periods = Array(1, 2, 10, 70)
+    def periodic(c: Int): Array[Int] = keys.map(k => (((k - 1) / periods(c)) % cards(c)).toInt)
+    def random(c: Int): Array[Int] = Array.fill(n)(rng.nextInt(cards(c)))
+    val dicts = ValueDicts(cards.zipWithIndex.map { case (k, c) => ColumnDict(s"v$c", Array.tabulate(k)(_.toString)) })
+    Seq("random" -> Array.tabulate(4)(random), "periodic" -> Array.tabulate(4)(periodic),
+        "mixed" -> Array(periodic(0), periodic(1), random(2), random(3))).foreach { case (kind, cols) =>
+      val data = KvData(keys, cols)
+      val dm = repro.core.DeepMapping.build(data, dicts, repro.core.DmConfig())
+      try {
+        val built = dm.storage.total.toDouble / data.rawBytes
+        val est = Mhas.ratioEstimate(dm.model, data, dm.enc, dicts,
+          Mhas.evalSample(data, 4096, new java.util.Random(1)), dm.exist.byteSize)
+        assert(math.abs(est - built) <= 0.25 * built, f"$kind: estimate $est%.3f vs built $built%.3f")
+      } finally dm.close()
+    }
+  }
+
   test("weight sharing: repeated search iterations reuse bank layers") {
     // Two searches with the same seed produce identical best archs —
     // evidence the bank + controller are deterministic.

@@ -82,6 +82,24 @@ class DenseSpec extends AnyFunSuite {
     assert(loss() < before * 0.01, s"loss ${loss()} vs initial $before")
   }
 
+  test("backward sums pending gradients until step clears them") {
+    val layer = new Dense(3, 2, relu = true, seed = 10)
+    val (x1, x2) = (Mat.randn(4, 3, seed = 11), Mat.randn(5, 3, seed = 12))
+    val (dy1, dy2) = (Mat.randn(4, 2, seed = 13), Mat.randn(5, 2, seed = 14))
+    def alone(x: Mat, dy: Mat): (Array[Float], Array[Float]) = {
+      val fresh = new Dense(3, 2, relu = true, seed = 10)
+      fresh.backward(x, fresh.forward(x), dy.copy())
+      (fresh.pendingGradW.data, fresh.pendingGradB)
+    }
+    val ((w1, b1), (w2, b2)) = (alone(x1, dy1), alone(x2, dy2))
+    layer.backward(x1, layer.forward(x1), dy1.copy())
+    layer.backward(x2, layer.forward(x2), dy2.copy())
+    assert(layer.pendingGradW.data.sameElements(w1.indices.map(i => w1(i) + w2(i))))
+    assert(layer.pendingGradB.sameElements(b1.indices.map(j => b1(j) + b2(j))))
+    layer.step(0.01f, 1)
+    assert(layer.pendingGradW == null && layer.pendingGradB == null)
+  }
+
   test("step without backward is a no-op") {
     val layer = new Dense(2, 2, relu = false, seed = 8)
     val snapshot = layer.w.data.clone()

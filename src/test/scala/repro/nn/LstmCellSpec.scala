@@ -60,8 +60,7 @@ class LstmCellSpec extends AnyFunSuite {
     val (dx2, dh1, dc1) = cell.backwardStep(s2, c2.clone(), new Array[Float](hidden))
     val dh1Total = (0 until hidden).map(k => dh1(k) + c1(k)).toArray
     val (dx1, _, _) = cell.backwardStep(s1, dh1Total, dc1)
-    val (gWx, gWh, gB) = cell.pendingGrads
-    val gWxSnap = gWx.clone(); val gWhSnap = gWh.clone(); val gBSnap = gB.clone()
+    val gWSnap = cell.gates.pendingGradW.data.clone(); val gBSnap = cell.gates.pendingGradB.clone()
 
     val eps = 1e-3f
     def check(param: Array[Float], grad: Array[Float], name: String, sampleEvery: Int): Unit = {
@@ -78,9 +77,8 @@ class LstmCellSpec extends AnyFunSuite {
         i += sampleEvery
       }
     }
-    check(cell.wx.data, gWxSnap, "wx", 3)
-    check(cell.wh.data, gWhSnap, "wh", 5)
-    check(cell.b, gBSnap, "b", 1)
+    check(cell.gates.w.data, gWSnap, "w", 3)
+    check(cell.gates.b, gBSnap, "b", 1)
 
     // Input gradient check for x1 (flows through both steps).
     (0 until inDim).foreach { i =>
@@ -101,10 +99,9 @@ class LstmCellSpec extends AnyFunSuite {
     val zero = new Array[Float](hidden)
     val s = cell.forwardStep(Array(1f, 1f, 1f), zero, zero)
     cell.backwardStep(s, Array.fill(hidden)(1f), new Array[Float](hidden))
-    val before = cell.wx.data.clone()
+    val before = cell.gates.w.data.clone()
     cell.step(0.01f, 1)
-    assert(!cell.wx.data.sameElements(before))
-    val (gWx, _, _) = cell.pendingGrads
-    assert(gWx.forall(_ == 0f))
+    assert(!cell.gates.w.data.sameElements(before))
+    assert(cell.gates.pendingGradW == null && cell.gates.pendingGradB == null)
   }
 }
