@@ -17,20 +17,19 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
+  /** Rows as cells in column-name order, null cells as None, sorted
+    * cell by cell. */
+  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[Option[String]]] = {
+    import Ordering.Implicits.seqOrdering
+    val idx = cols.sorted.map(cols.indexOf)
     rows
-      .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
-        }
-      })
-      .sortBy(_.mkString(""))
+      .map(r => idx.map(i => Option(r.get(i)).map {
+        case d: Double                => f"$d%.6f"
+        case f: Float                 => f"${f.toDouble}%.6f"
+        case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
+        case x                        => x.toString
+      }))
+      .sorted
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

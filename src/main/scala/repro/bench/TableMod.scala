@@ -68,7 +68,7 @@ object TableMod {
           dmZ.delete(chunk); dmZ1.delete(chunk)
           current = remove(current, chunk.toSet)
         }
-        dmZ.aux.repack(); dmZ1.aux.repack()
+        dmZ.repack(); dmZ1.repack()
         if (i == 2) dmZ1.retrain(current) // scaled 200MB-of-1GB trigger
       }
       def cell(s: KeyValueStore): Cell = Cell(mb(s.storageBytes), lookupLatencyMs(s, current.keys, B, seed + i))

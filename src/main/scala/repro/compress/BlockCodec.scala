@@ -78,12 +78,4 @@ object BlockCodec {
       out
     }
   }
-
-  def byName(n: String): BlockCodec = n match {
-    case "noop" => Noop
-    case "gzip" => Gzip()
-    case "zstd" => Zstd()
-    case "lzma" => Lzma()
-    case other  => throw new IllegalArgumentException(s"unknown codec $other")
-  }
 }

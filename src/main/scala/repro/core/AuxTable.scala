@@ -17,8 +17,10 @@ import repro.store.{BlockStore, BufferPool, KvData, SortedBlocks}
   * §IV-D — with tombstones for deletions of base entries; [[repack]]
   * folds the overlay back into compressed partitions (what retraining's
   * reconstruction uses). Size accounting always reflects the packed form.
+  * Not thread-safe: [[DeepMapping]] locks around it.
   */
-final class AuxTable private (codec: BlockCodec, partitionBytes: Int, private var base: SortedBlocks, val nCols: Int) {
+final class AuxTable private (codec: BlockCodec, partitionBytes: Int, private var base: SortedBlocks, val nCols: Int)
+    extends Serializable {
 
   /** Overlay value null = tombstone over a base entry (removed from T_aux). */
   private val overlay = new java.util.TreeMap[Long, Array[Int]]()
@@ -117,6 +119,14 @@ final class AuxTable private (codec: BlockCodec, partitionBytes: Int, private va
         codec.compress(SortedBlocks.encodeBlock(overlayKeys, codes, 0, overlay.size, bitPacked = false)).length.toLong
       }
     base.byteSize + overlayBytes
+  }
+
+  /** An independent copy for shipping: the packed blocks as stored, held in
+    * memory, the overlay, and an unbounded pool of its own. */
+  def held: AuxTable = {
+    val t = new AuxTable(codec, partitionBytes, base.held(new BufferPool(Long.MaxValue)), nCols)
+    t.overlay.putAll(overlay)
+    t
   }
 
   def close(): Unit = base.close()

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 
 import repro.compress.BlockCodec
 import repro.nn.{MultiTaskNet, NetArch, TaskSpec, Trainer}
-import repro.store.{BufferPool, KeyValueStore, KvData, SortedBlocks}
+import repro.store.{BufferPool, KeyValueStore, KvData}
 
 /** Build/runtime configuration for a DeepMapping hybrid structure. */
 final case class DmConfig(
@@ -34,96 +34,141 @@ final case class DmStorage(modelBytes: Long, auxBytes: Long, existBytes: Long, d
   * Algorithm 4 (delete), Algorithm 5 (update), and the §IV-D lazy
   * retrain trigger. Also a [[KeyValueStore]], so benchmarks drive it
   * through the same interface as the baselines.
+  *
+  * Threads: M, its key encoder and T_aux are one value that `retrain`
+  * replaces whole. Lookups, `storage` and `snapshot` hold a read lock;
+  * the modifications, `repack` and `close` the write lock. `retrain`
+  * trains unlocked, swaps under the write lock (failing if a modification
+  * landed meanwhile), then deletes the old T_aux file. `model`, `enc`,
+  * `aux` and `pool` are unlocked views for single-threaded callers.
   */
 final class DeepMapping(
-    @volatile var model: MultiTaskNet,
-    @volatile var enc: KeyEncoder,
+    model0: MultiTaskNet,
+    enc0: KeyEncoder,
     val dicts: ValueDicts,
-    @volatile var aux: AuxTable,
+    aux0: AuxTable,
     val exist: ExistenceBitmap,
     val cfg: DmConfig,
-) extends KeyValueStore {
-  import DeepMapping.requireRows
+) extends KeyValueStore with Serializable {
+  import DeepMapping.{State, requireRows}
+
+  @volatile private var state = State(model0, enc0, aux0)
+  private val lock = new java.util.concurrent.locks.ReentrantReadWriteLock()
+  private var version = 0L // bumped by each modification, checked by retrain's swap
+
+  private def reading[A](f: => A): A = { lock.readLock.lock(); try f finally lock.readLock.unlock() }
+  private def writing[A](f: => A): A = { lock.writeLock.lock(); try f finally lock.writeLock.unlock() }
+
+  def model: MultiTaskNet = state.model
+  def enc: KeyEncoder = state.enc
+  def aux: AuxTable = state.aux
 
   override def name: String = s"DM-${cfg.codec.name.head.toUpper}"
-  override def pool: BufferPool = aux.pool
+  override def pool: BufferPool = state.aux.pool
 
-  def storage: DmStorage =
-    DmStorage(model.byteSize, aux.byteSize, exist.byteSize, dicts.byteSize)
+  def storage: DmStorage = reading(DmStorage(model.byteSize, aux.byteSize, exist.byteSize, dicts.byteSize))
 
   override def storageBytes: Long = storage.total
 
   /** Algorithm 1 — (parallel) batch key lookup. Returns per query key the
-    * value codes, or null when V_exist says the key does not exist. */
-  override def lookup(keys: Array[Long]): Array[Array[Int]] =
-    DeepMapping.lookup(model, enc, exist, keys, aux.get)
+    * value codes, or null when V_exist says the key does not exist: V_exist
+    * admits the existing keys (the rest are never encoded), M predicts the
+    * admitted keys in one batch, and T_aux overrides the rows it holds. */
+  override def lookup(keys: Array[Long]): Array[Array[Int]] = reading {
+    val s = state
+    val live = Array.range(0, keys.length).filter(i => exist.get(keys(i)))
+    val liveKeys = live.map(keys(_))
+    val preds = Trainer.predictAll(s.model, liveKeys, s.enc.encode)
+    val corrected = s.aux.get(liveKeys)
+    val out = new Array[Array[Int]](keys.length)
+    var j = 0
+    while (j < live.length) {
+      out(live(j)) = if (corrected(j) != null) corrected(j) else preds.map(_(j))
+      j += 1
+    }
+    out
+  }
 
   /** Lookup with f_decode applied — original value strings. */
-  def lookupValues(keys: Array[Long]): Array[Array[String]] =
+  def lookupBatch(keys: Array[Long]): Array[Array[String]] =
     lookup(keys).map(codes => if (codes == null) null else dicts.decode(codes))
 
   /** Algorithm 3 — insert. The model is evaluated on the new tuples; only
     * pairs it cannot generalise to are materialised in T_aux. */
-  def insert(data: KvData): Unit = {
+  def insert(data: KvData): Unit = writing {
     requireRows(data, dicts)
     data.keys.foreach(k => require(!exist.get(k), s"insert of existing key $k: use update"))
+    version += 1
     data.keys.foreach(exist.set)
     Trainer.mispredicted(model, data.keys, data.cols, enc.encode).foreach(i => aux.add(data.keys(i), data.row(i)))
   }
 
   /** Algorithm 4 — delete: clear the existence bits, drop any aux entries. */
-  def delete(keys: Array[Long]): Unit = {
+  def delete(keys: Array[Long]): Unit = writing {
+    version += 1
     keys.foreach(exist.clear)
     aux.remove(keys)
   }
 
   /** Algorithm 5 — update (substitution) of existing keys. */
-  def update(data: KvData): Unit = {
+  def update(data: KvData): Unit = writing {
     requireRows(data, dicts)
     data.keys.foreach(k => require(exist.get(k), s"update of non-existing key $k"))
+    version += 1
     val miss = new java.util.BitSet(data.rows)
     Trainer.mispredicted(model, data.keys, data.cols, enc.encode).foreach(miss.set)
     aux.remove(data.keys.indices.filterNot(miss.get).map(data.keys(_)).toArray) // the model now agrees
     miss.stream.forEach(i => aux.add(data.keys(i), data.row(i)))
   }
 
+  /** Fold T_aux's overlay into fresh compressed partitions. */
+  def repack(): Unit = writing(aux.repack())
+
   /** §IV-D trigger: retrain + reconstruct when T_aux outgrew the
     * threshold. `currentData` is the live logical content of the mapping.
     * Returns true if a retrain happened. */
-  def maybeRetrain(currentData: => KvData): Boolean = {
-    if (aux.byteSize <= cfg.retrainThresholdBytes) false
-    else { retrain(currentData); true }
-  }
+  def maybeRetrain(currentData: => KvData): Boolean =
+    reading(aux.byteSize) > cfg.retrainThresholdBytes && { retrain(currentData); true }
 
-  /** Unconditional retrain/reconstruct on the given logical content. The
-    * key encoder is rebuilt with the model: inserts may have widened the
-    * key domain. */
+  /** Unconditional retrain/reconstruct on the given logical content, whose
+    * key set must be V_exist's. The key encoder is rebuilt with the model:
+    * inserts may have widened the key domain. */
   def retrain(currentData: KvData): Unit = {
+    val seen = reading {
+      requireRows(currentData, dicts)
+      currentData.keys.find(k => !exist.get(k))
+        .foreach(k => throw new IllegalArgumentException(s"retrain data holds key $k, which does not exist"))
+      require(currentData.rows == exist.cardinality,
+        s"retrain data holds ${currentData.rows} keys, but ${exist.cardinality} exist: pass every live row")
+      version
+    }
     val rebuilt = DeepMapping.build(currentData, dicts, cfg)
-    val oldAux = aux
-    model = rebuilt.model
-    enc = rebuilt.enc
-    aux = rebuilt.aux
-    oldAux.close()
+    val old = writing {
+      if (version != seen) { rebuilt.close(); throw new java.util.ConcurrentModificationException("modified during retrain") }
+      val o = state; state = State(rebuilt.model, rebuilt.enc, rebuilt.aux); o
+    }
+    old.aux.close()
   }
 
   /** Fraction of live rows the model alone predicts correctly (Fig. 6's
     * "model memorised X% of tuples"). */
-  def modelAccuracy(data: KvData): Double =
+  def modelAccuracy(data: KvData): Double = reading {
     (data.rows - Trainer.mispredicted(model, data.keys, data.cols, enc.encode).length).toDouble / math.max(1, data.rows)
-
-  /** Immutable, serializable snapshot for executor-side lookup
-    * (see [[SparkLookup]]). */
-  def snapshot(): DmSnapshot = {
-    val (ks, cs) = aux.entries()
-    DmSnapshot(model, enc, dicts, cfg.codec.compress(SortedBlocks.encodeBlock(ks, cs, 0, ks.length, bitPacked = false)),
-      cfg.codec, exist.copy)
   }
 
-  override def close(): Unit = aux.close()
+  /** A serializable copy for executor-side lookup (see [[SparkLookup]]):
+    * it shares M, the encoder and f_decode, which nothing mutates, and
+    * takes a copy of V_exist and T_aux's held copy, so later changes here
+    * do not reach it and it reads no file. */
+  def snapshot(): DeepMapping = reading(new DeepMapping(model, enc, dicts, aux.held, exist.copy, cfg))
+
+  override def close(): Unit = writing(aux.close())
 }
 
 object DeepMapping {
+
+  /** What one lookup reads: M, its key encoder and T_aux, replaced together. */
+  private final case class State(model: MultiTaskNet, enc: KeyEncoder, aux: AuxTable)
 
   /** Default architecture when MHAS is not run: one shared trunk layer
     * scaled to the total output cardinality, one private layer per task
@@ -177,24 +222,6 @@ object DeepMapping {
         s"code ${data.cols(c)(i)} of key ${data.keys(i)} outside column ${dicts.cols(c).name}'s dictionary [0, ${dicts.cols(c).size})")
   }
 
-  /** Algorithm 1 over any T_aux: V_exist admits the existing keys (the
-    * rest stay NULL and are never encoded), M predicts the admitted keys in
-    * one batch, and `auxGet` overrides the rows T_aux holds. */
-  private[core] def lookup(model: MultiTaskNet, enc: KeyEncoder, exist: ExistenceBitmap, keys: Array[Long],
-                           auxGet: Array[Long] => Array[Array[Int]]): Array[Array[Int]] = {
-    val live = Array.range(0, keys.length).filter(i => exist.get(keys(i)))
-    val liveKeys = live.map(keys(_))
-    val preds = Trainer.predictAll(model, liveKeys, enc.encode)
-    val corrected = auxGet(liveKeys)
-    val out = new Array[Array[Int]](keys.length)
-    var j = 0
-    while (j < live.length) {
-      out(live(j)) = if (corrected(j) != null) corrected(j) else preds.map(_(j))
-      j += 1
-    }
-    out
-  }
-
   /** DataFrame-first build: dictionaries via Spark aggregations, then the
     * driver-side build above. */
   def buildFromDf(df: DataFrame, keyCol: String, valueCols: Seq[String], cfg: DmConfig): DeepMapping = {
@@ -202,26 +229,4 @@ object DeepMapping {
     val data = Encoding.toKvData(df, keyCol, valueCols, dicts)
     build(data, dicts, cfg)
   }
-}
-
-/** Serializable snapshot of a DeepMapping for distributed lookup: the
-  * model, T_aux as one compressed block in the [[SortedBlocks]] format,
-  * and a copy of V_exist. The model is never trained after its build
-  * (retrain swaps in a new one), so sharing it keeps the snapshot fixed.
-  * Each JVM decodes the block once, on first lookup. */
-final case class DmSnapshot(
-    model: MultiTaskNet,
-    enc: KeyEncoder,
-    dicts: ValueDicts,
-    auxBlock: Array[Byte],
-    codec: BlockCodec,
-    exist: ExistenceBitmap,
-) extends Serializable {
-
-  @transient private lazy val aux: SortedBlocks.Block = SortedBlocks.decode(codec.decompress(auxBlock), bitPacked = false)
-
-  /** Algorithm 1 against the snapshot (columnar, batched), f_decode applied. */
-  def lookupBatch(keys: Array[Long]): Array[Array[String]] =
-    DeepMapping.lookup(model, enc, exist, keys, _.map(aux.row))
-      .map(codes => if (codes == null) null else dicts.decode(codes))
 }

@@ -6,13 +6,16 @@ import java.nio.file.{Files, Path, Paths}
 /** One immutable on-disk file of variable-length blocks with an in-memory
   * offset index — the substrate both baselines and the DeepMapping
   * auxiliary table use for "partitions stored on disk, loaded on demand".
+  * A [[held]] copy keeps the same block bytes in memory instead of a file;
+  * only a held store can be serialized.
   */
-final class BlockStore private (val path: Path, val offsets: Array[Long], val lengths: Array[Int]) {
+final class BlockStore private (val path: Path, val offsets: Array[Long], val lengths: Array[Int],
+                                blocks: Array[Array[Byte]]) extends Serializable {
   def blockCount: Int = offsets.length
-  def fileBytes: Long = Files.size(path)
+  def fileBytes: Long = lengths.foldLeft(0L)(_ + _)
 
   /** Raw bytes of block `id` (real disk read; the pool caches decoded forms). */
-  def read(id: Int): Array[Byte] = {
+  def read(id: Int): Array[Byte] = if (blocks != null) blocks(id) else {
     val raf = new RandomAccessFile(path.toFile, "r")
     try {
       raf.seek(offsets(id))
@@ -22,7 +25,15 @@ final class BlockStore private (val path: Path, val offsets: Array[Long], val le
     } finally raf.close()
   }
 
-  def delete(): Unit = Files.deleteIfExists(path)
+  /** The same blocks, read once from the file and held in memory. */
+  def held: BlockStore = new BlockStore(null, offsets, lengths, Array.tabulate(blockCount)(read))
+
+  def delete(): Unit = if (blocks == null) Files.deleteIfExists(path)
+
+  private def writeObject(out: java.io.ObjectOutputStream): Unit =
+    if (blocks == null) throw new java.io.NotSerializableException(
+      s"$path is a local file: serialize DeepMapping.snapshot(), which holds T_aux's blocks in memory")
+    else out.defaultWriteObject()
 }
 
 object BlockStore {
@@ -49,6 +60,6 @@ object BlockStore {
       i += 1
     }
     out.close()
-    new BlockStore(path, offsets, lengths)
+    new BlockStore(path, offsets, lengths, null)
   }
 }

@@ -8,10 +8,11 @@ package repro.store
   * entry is evicted, so a working set larger than the budget pays
   * repeated I/O + decompression exactly as the paper describes.
   *
-  * Not thread-safe by design: each benchmark drives lookups from one
-  * thread per store, as the paper's client does.
+  * Thread-safe: `get` (load included), `resize` and `clear` hold the
+  * pool's monitor, so a missed block is loaded once and the budget holds.
+  * A serialized pool carries its budget and stats, not its blocks.
   */
-final class BufferPool(private var budget: Long) {
+final class BufferPool(private var budget: Long) extends Serializable {
   import BufferPool.Entry
 
   def budgetBytes: Long = budget
@@ -19,9 +20,9 @@ final class BufferPool(private var budget: Long) {
   /** Set the budget. A new budget empties the pool, so the next access
     * starts cold, as on a machine with that much memory; the same budget
     * keeps what the pool holds. */
-  def resize(bytes: Long): Unit = if (bytes != budget) { budget = bytes; clear() }
+  def resize(bytes: Long): Unit = synchronized { if (bytes != budget) { budget = bytes; clear() } }
 
-  final class Stats {
+  final class Stats extends Serializable {
     var hits: Long = 0
     var misses: Long = 0
     var evictions: Long = 0
@@ -31,12 +32,12 @@ final class BufferPool(private var budget: Long) {
   }
   val stats = new Stats
 
-  private val map = new java.util.LinkedHashMap[AnyRef, Entry](64, 0.75f, /*accessOrder=*/ true)
-  private var used: Long = 0
+  @transient private lazy val map = new java.util.LinkedHashMap[AnyRef, Entry](64, 0.75f, /*accessOrder=*/ true)
+  @transient private var used: Long = 0
 
   /** Fetch `key`, loading and caching on miss. `charge` is the decoded
     * in-memory footprint used for budget accounting. */
-  def get[T <: AnyRef](key: AnyRef)(load: => (T, Long)): T = {
+  def get[T <: AnyRef](key: AnyRef)(load: => (T, Long)): T = synchronized {
     val e = map.get(key)
     if (e != null) { stats.hits += 1; return e.value.asInstanceOf[T] }
     stats.misses += 1
@@ -56,8 +57,8 @@ final class BufferPool(private var budget: Long) {
     v
   }
 
-  def usedBytes: Long = used
-  def clear(): Unit = { map.clear(); used = 0 }
+  def usedBytes: Long = synchronized(used)
+  def clear(): Unit = synchronized { map.clear(); used = 0 }
 }
 
 object BufferPool {

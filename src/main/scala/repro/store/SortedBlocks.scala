@@ -20,7 +20,7 @@ final class SortedBlocks private (
     codec: BlockCodec,
     bitPacked: Boolean,
     val pool: BufferPool,
-) {
+) extends Serializable {
   import SortedBlocks.Block
 
   def blockCount: Int = firstKeys.length
@@ -41,7 +41,7 @@ final class SortedBlocks private (
 
   /** Block `id`, read, decompressed and deserialised on a pool miss. */
   def block(id: Int): Block =
-    pool.get[Block]((store.path, id)) {
+    pool.get[Block]((store, id)) {
       val blk = SortedBlocks.decode(codec.decompress(store.read(id)), bitPacked)
       (blk, blk.keys.length.toLong * (8 + 4 * blk.cols.length) + 64)
     }
@@ -68,6 +68,9 @@ final class SortedBlocks private (
     }
     keys.map(k => found(java.util.Arrays.binarySearch(sorted, k)))
   }
+
+  /** The same blocks held in memory (see [[BlockStore.held]]), cached in `pool`. */
+  def held(pool: BufferPool): SortedBlocks = new SortedBlocks(store.held, firstKeys, lastKeys, rows, codec, bitPacked, pool)
 
   def close(): Unit = store.delete()
 }

@@ -74,9 +74,4 @@ class BlockCodecSpec extends AnyFunSuite with PropHelpers {
     val l = BlockCodec.Lzma(6).compress(data).length
     assert(l <= z, s"lzma=$l zstd=$z")
   }
-
-  test("byName resolves every codec and rejects unknown") {
-    Seq("noop", "gzip", "zstd", "lzma").foreach(n => assert(BlockCodec.byName(n).name == n))
-    intercept[IllegalArgumentException](BlockCodec.byName("snappy"))
-  }
 }

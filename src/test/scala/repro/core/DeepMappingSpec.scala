@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.jdk.CollectionConverters._
+
 import repro.SparkSpec
 import repro.compress.BlockCodec
 import repro.data.SynthCorr
@@ -46,10 +48,10 @@ class DeepMappingSpec extends SparkSpec {
     assert(dmShared.lookup(absent).forall(_ == null))
   }
 
-  test("lookupValues decodes to original strings") {
+  test("lookupBatch decodes to original strings") {
     // k=1: v1 = pick((1-1)%2) = "M"; k=2 -> "F"
-    assert(dmShared.lookupValues(Array(1L))(0)(0) == "M")
-    assert(dmShared.lookupValues(Array(2L))(0)(0) == "F")
+    assert(dmShared.lookupBatch(Array(1L))(0)(0) == "M")
+    assert(dmShared.lookupBatch(Array(2L))(0)(0) == "F")
   }
 
   test("model memorises most of the high-correlation data") {
@@ -199,7 +201,7 @@ class DeepMappingSpec extends SparkSpec {
     val dm = DeepMapping.buildFromDf(df, "k", Seq("v"), cfg())
     try {
       val keys = Array.tabulate(800)(i => i.toLong + 1)
-      val vals = dm.lookupValues(keys)
+      val vals = dm.lookupBatch(keys)
       import spark.implicits._
       val lookupDf = keys.indices.map(i => (keys(i), vals(i)(0))).toDF("k", "v")
       repro.Oracle.assertEquivalent(
@@ -338,7 +340,7 @@ class DeepMappingSpec extends SparkSpec {
       base.keys.indices.foreach(i => assert(after(i).sameElements(before(i)), s"key ${base.keys(i)}"))
       assert(dm.lookup(Array(900L, 901L, 902L, 903L)).forall(_ == null))
       assert(dm.aux.overlaySize == 0)
-      dm.lookupValues(base.keys) // every stored code decodes
+      dm.lookupBatch(base.keys) // every stored code decodes
     } finally dm.close()
   }
 
@@ -385,11 +387,12 @@ class DeepMappingSpec extends SparkSpec {
     try ois.readObject().asInstanceOf[A] finally ois.close()
   }
 
-  test("a DmSnapshot answers like the driver after Java serialization") {
+  test("a snapshot answers like the driver after Java serialization") {
     val data = random(keyRange(0, 600), seed = 7)
     val dm = DeepMapping.build(data, smallDicts, oneEpoch)
     try {
-      dm.insert(random(keyRange(600, 700), seed = 8)) // overlay adds
+      val inserted = random(keyRange(600, 700), seed = 8)
+      dm.insert(inserted)                             // overlay adds
       dm.delete(keyRange(0, 60))                      // tombstones over base entries
       assert(dm.aux.overlaySize > 0)
       val queries = keyRange(0, 800)
@@ -397,11 +400,26 @@ class DeepMappingSpec extends SparkSpec {
         val snap = dm.snapshot()
         snap.lookupBatch(queries) // decodes T_aux on this side first
         val got = javaRoundTrip(snap).lookupBatch(queries)
-        val want = dm.lookupValues(queries)
+        val want = dm.lookupBatch(queries)
         queries.indices.foreach(i => assert(Option(got(i)).map(_.toSeq) == Option(want(i)).map(_.toSeq), s"key ${queries(i)}"))
       }
       assert(queries.exists(k => dm.aux.get(k) != null && dm.exist.get(k)), "no T_aux-overridden key")
       assert(queries.exists(k => !dm.exist.get(k)), "no absent key")
+      check()
+      // The live structure ships only through snapshot().
+      val e = intercept[java.io.NotSerializableException](javaRoundTrip(dm))
+      assert(e.getMessage.contains("snapshot()"), e.getMessage)
+      // A snapshot reads no file: it still answers once repack and retrain
+      // have deleted the T_aux file it was taken from.
+      val snap = dm.snapshot()
+      val want = dm.lookupBatch(queries)
+      val file = dm.aux.store.path
+      dm.repack()
+      dm.retrain(TableModHelper.concat(KvData(data.keys.drop(60), data.cols.map(_.drop(60))), inserted))
+      assert(!java.nio.file.Files.exists(file) && dm.aux.store.path != file)
+      Seq(snap.lookupBatch(queries), javaRoundTrip(snap).lookupBatch(queries)).foreach { got =>
+        queries.indices.foreach(i => assert(Option(got(i)).map(_.toSeq) == Option(want(i)).map(_.toSeq), s"key ${queries(i)}"))
+      }
       check()
       dm.delete(dm.aux.entries()._1) // now T_aux is empty
       assert(dm.aux.entryCount == 0 && queries.exists(dm.exist.get))
@@ -423,6 +441,90 @@ class DeepMappingSpec extends SparkSpec {
     } finally dm.close()
   }
 
+  test("retrain and maybeRetrain reject data whose key set is not V_exist's, before any state changes") {
+    val base = random(keyRange(0, 400), seed = 12)
+    val dm = DeepMapping.build(base, smallDicts, oneEpoch.copy(retrainThresholdBytes = 1L))
+    try {
+      val model = dm.model
+      val missing = KvData(base.keys.drop(1), base.cols.map(_.drop(1)))     // live key 0 left out
+      val extra = TableModHelper.concat(base, random(Array(400L), seed = 1)) // key 400 does not exist
+      Seq(missing -> "399 keys", extra -> "key 400").foreach { case (d, words) =>
+        assert(intercept[IllegalArgumentException](dm.retrain(d)).getMessage.contains(words))
+        assert(intercept[IllegalArgumentException](dm.maybeRetrain(d)).getMessage.contains(words))
+      }
+      assert(dm.model eq model)
+      assertLossless(dm, base)
+    } finally dm.close()
+  }
+
+  test("readers see each key's before or after value while a writer modifies, repacks and retrains") {
+    val base = random(keyRange(0, 3000), seed = 21)
+    val dm = DeepMapping.build(base, smallDicts, oneEpoch.copy(partitionBytes = 512, poolBudget = 4096))
+    try {
+      assert(dm.aux.entryCount * 16 > dm.pool.budgetBytes, "T_aux fits the pool")
+      val r = new java.util.Random(22)
+      def codes(): Array[Int] = Array(r.nextInt(2), r.nextInt(3))
+      // Round i updates keys [100i, 100i + 50), deletes [100i + 50, 100i + 100)
+      // and inserts [10000 + 50i, 10000 + 50i + 50); each key changes once.
+      val rounds = 6
+      val after = scala.collection.mutable.LinkedHashMap.empty[Long, Option[Seq[Int]]]
+      (0 until rounds).foreach { i =>
+        (100 * i until 100 * i + 50).foreach(k => after(k.toLong) = Some(codes().toSeq))
+        (100 * i + 50 until 100 * i + 100).foreach(k => after(k.toLong) = None)
+        (10000 + 50 * i until 10000 + 50 * i + 50).foreach(k => after(k.toLong) = Some(codes().toSeq))
+      }
+      val before: Long => Option[Seq[Int]] = k => if (k < base.rows) Some(base.row(k.toInt).toSeq) else None
+      val absent = keyRange(20000, 20100)
+      val queryKeys = base.keys ++ after.keys.filter(_ >= base.rows) ++ absent
+      def allowed(k: Long): Set[Option[Seq[Int]]] = Set(before(k)) ++ after.get(k)
+
+      val failures = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+      val writing = new java.util.concurrent.atomic.AtomicBoolean(true)
+      val readers = (0 until 3).map { t =>
+        new Thread(() => {
+          val rr = new java.util.Random(100 + t)
+          var batches = 0
+          try while (writing.get || batches < 20) {
+            val keys = Array.fill(400)(queryKeys(rr.nextInt(queryKeys.length)))
+            val got = dm.lookup(keys)
+            keys.indices.foreach { i =>
+              val g = Option(got(i)).map(_.toSeq)
+              if (!allowed(keys(i))(g)) failures.add(s"key ${keys(i)} answered $g, allowed ${allowed(keys(i))}")
+            }
+            if (dm.pool.usedBytes > dm.pool.budgetBytes) failures.add(s"pool holds ${dm.pool.usedBytes} B > ${dm.pool.budgetBytes} B")
+            batches += 1
+          } catch { case e: Throwable => failures.add(s"reader $t threw $e") }
+        })
+      }
+      readers.foreach(_.start())
+      try {
+        val live = scala.collection.mutable.TreeMap.from(base.keys.indices.map(i => base.keys(i) -> base.row(i).toSeq))
+        def kv(ks: Seq[Long]): KvData = KvData(ks.toArray, Array.tabulate(2)(c => ks.map(k => after(k).get(c)).toArray))
+        (0 until rounds).foreach { i =>
+          val ins = (10000L + 50 * i until 10000L + 50 * i + 50)
+          dm.insert(kv(ins))
+          val up = (100L * i until 100L * i + 50)
+          dm.update(kv(up))
+          val del = (100L * i + 50 until 100L * i + 100)
+          dm.delete(del.toArray)
+          dm.repack()
+          (ins ++ up).foreach(k => live(k) = after(k).get)
+          live --= del
+          dm.retrain(KvData(live.keys.toArray, Array.tabulate(2)(c => live.values.map(_(c)).toArray)))
+        }
+      } catch { case e: Throwable => failures.add(s"writer threw $e") }
+      finally writing.set(false)
+      readers.foreach(_.join(120000))
+      assert(readers.forall(!_.isAlive), "a reader did not finish")
+      assert(failures.isEmpty, failures.asScala.take(5).mkString("; "))
+      val got = dm.lookup(queryKeys)
+      queryKeys.indices.foreach { i =>
+        val k = queryKeys(i)
+        assert(Option(got(i)).map(_.toSeq) == after.getOrElse(k, before(k)), s"key $k")
+      }
+    } finally dm.close()
+  }
+
   test("a null value cell is returned as null, and an absent key still returns a NULL row") {
     import spark.implicits._
     val rows = (1 to 400).map(k => (k.toLong, if (k % 5 == 0) None else Some(s"v${k % 3}"), s"w${k % 2}"))
@@ -431,7 +533,7 @@ class DeepMappingSpec extends SparkSpec {
     try {
       assert(dm.dicts.cols(0).values.contains(null) && dm.dicts.byteSize > 0)
       val keys = rows.map(_._1).toArray :+ 401L
-      val got = dm.lookupValues(keys)
+      val got = dm.lookupBatch(keys)
       rows.indices.foreach { i =>
         assert(got(i) != null && got(i).toSeq == Seq(rows(i)._2.orNull, rows(i)._3), s"key ${keys(i)}")
       }

@@ -106,7 +106,7 @@ class LosslessModelSpec extends AnyFunSuite {
             ks.zip(rows).foreach { case (k, v) => ref(k) = v }
             step = s"update of ${ks.length}"
           case p if p < 70 =>
-            dm.aux.repack()
+            dm.repack()
             step = "repack"
           case p if p < 78 =>
             dm.retrain(current)

@@ -20,7 +20,7 @@ class SparkLookupSpec extends SparkSpec {
 
   test("snapshot lookupBatch equals direct DeepMapping lookup") {
     val keys = Array(1L, 5L, 77L, 1999L, 123L)
-    val direct = dm.lookupValues(keys)
+    val direct = dm.lookupBatch(keys)
     val viaSnap = snap.lookupBatch(keys)
     keys.indices.foreach { i =>
       assert(direct(i).toSeq == viaSnap(i).toSeq)
@@ -48,6 +48,17 @@ class SparkLookupSpec extends SparkSpec {
     val byKey = rows.map(r => r.getLong(0) -> r).toMap
     assert(byKey(1L).getString(1) != null)
     assert(byKey(999_999L).isNullAt(1))
+  }
+
+  test("lookupDf answers a null key with a NULL row") {
+    import spark.implicits._
+    val out = SparkLookup.lookupDf(spark, snap, Seq(Some(1L), None).toDF("k"), "k")
+    assert(out.schema("k").nullable)
+    val rows = out.collect()
+    assert(rows.length == 2)
+    val (nulls, keyed) = rows.partition(_.isNullAt(0))
+    assert(nulls.length == 1 && (1 to valueCols.length).forall(nulls.head.isNullAt))
+    assert(keyed.head.getLong(0) == 1L && keyed.head.getString(1) != null)
   }
 
   test("outputSchema has key + one string column per attribute") {
